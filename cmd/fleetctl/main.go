@@ -1,21 +1,21 @@
 // Command fleetctl is the fleetd client: submit jobs, wait for completion
 // with digest verification, stream live telemetry, and shut the server
-// down, all against the JSON job API and the framed TCP telemetry feed.
+// down, all against fleetd's HTTP API.
 //
 // Usage:
 //
-//	fleetctl [-addr URL] [-telem HOST:PORT] [-retries N] [-wait-ready D] <command> [flags]
+//	fleetctl [-addr URL] [-retries N] [-wait-ready D] <command> [flags]
 //
-//	submit    -n 64 -seconds 2 -hover -seed 1 -vary 8   # generate and submit jobs
-//	submit    -f jobs.json                              # or submit a JSON job list
-//	wait      -verify -min-peak 1000 -timeout 5m        # wait, assert digests agree
-//	run       -seconds 20 -hover -check                 # submit one job, stream it
-//	                                                    # live, cross-check digests
-//	                                                    # against a local replay
-//	stream    -id 3                                     # stream a job's telemetry
-//	stream    -id 3 -stall                              # subscribe and never read
-//	digests                                             # "id spec-digests" per line,
-//	                                                    # diffable across restarts
+//	submit  -n 64 -seconds 2 -workload hover -seed 1 -vary 8  # generate and submit jobs
+//	submit  -f jobs.json                       # or submit a JSON job list
+//	wait    -verify -min-peak 1000 -timeout 5m # wait, assert digests agree
+//	run     -seconds 20 -workload hover -check # submit one job, stream it
+//	                                           # live, cross-check digests
+//	                                           # against a local replay
+//	stream  -id 3                              # stream a job's telemetry
+//	stream  -id 3 -stall                       # subscribe and never read
+//	digests                                    # "id spec-digests" per line,
+//	                                           # diffable across restarts
 //	stats | jobs | shutdown
 //
 // -retries spends a jittered-exponential-backoff budget on transient
@@ -45,17 +45,17 @@ import (
 	"dronedse/fleet"
 	"dronedse/groundstation"
 	"dronedse/mavlink"
+	"dronedse/mission"
 	"dronedse/scenario"
 )
 
 func main() {
 	addr := flag.String("addr", "http://127.0.0.1:8480", "fleetd job API root")
-	telem := flag.String("telem", "127.0.0.1:8481", "fleetd telemetry address")
 	retries := flag.Int("retries", 0, "retry budget for transient failures (jittered exponential backoff)")
 	waitReady := flag.Duration("wait-ready", 0, "poll /readyz this long before the command (0 = don't)")
 	flag.Parse()
 	if flag.NArg() < 1 {
-		fatal("usage: fleetctl [-addr URL] [-telem HOST:PORT] submit|wait|run|stream|digests|stats|jobs|shutdown [flags]")
+		fatal("usage: fleetctl [-addr URL] submit|wait|run|stream|digests|stats|jobs|shutdown [flags]")
 	}
 	c := fleet.NewClient(*addr)
 	c.Retry = fleet.RetryPolicy{Max: *retries}
@@ -70,9 +70,9 @@ func main() {
 	case "wait":
 		cmdWait(c, args)
 	case "run":
-		cmdRun(c, *telem, args)
+		cmdRun(c, args)
 	case "stream":
-		cmdStream(*telem, args)
+		cmdStream(c, args)
 	case "digests":
 		cmdDigests(c)
 	case "stats":
@@ -94,7 +94,13 @@ func main() {
 func jobFlags(fs *flag.FlagSet) *fleet.JobSpec {
 	spec := &fleet.JobSpec{}
 	fs.Int64Var(&spec.Seed, "seed", 1, "base sensor/environment seed")
-	fs.BoolVar(&spec.Hover, "hover", false, "hover instead of flying the mission")
+	fs.Func("workload", "workload kind: box, hover, coverage, delivery, follow (default box)", func(kind string) error {
+		if _, err := mission.Named(kind); err != nil {
+			return err
+		}
+		spec.Workload = &mission.WireSpec{KindName: kind}
+		return nil
+	})
 	fs.Float64Var(&spec.MaxSeconds, "seconds", 0, "maximum simulated seconds (0 = default)")
 	fs.Float64Var(&spec.TakeoffAltM, "alt", 0, "takeoff altitude (0 = default)")
 	fs.Float64Var(&spec.WindMeanMS, "wind", 0, "steady wind (m/s)")
@@ -121,7 +127,11 @@ func cmdSubmit(c *fleet.Client, args []string) {
 			defer f.Close()
 			rd = f
 		}
-		check(json.NewDecoder(rd).Decode(&specs))
+		// Strict, like the server: a stale or misspelt field is an error
+		// here, not silently dropped before the specs are re-encoded.
+		dec := json.NewDecoder(rd)
+		dec.DisallowUnknownFields()
+		check(dec.Decode(&specs))
 	} else {
 		base := spec.Seed
 		for i := 0; i < *n; i++ {
@@ -163,15 +173,19 @@ func cmdWait(c *fleet.Client, args []string) {
 			}
 			fatal("%d jobs failed", st.Failed)
 		}
-		table := map[fleet.JobSpec]fleet.Digests{}
+		// Key by the spec's JSON: a decoded Workload is a fresh pointer
+		// per job, so the struct itself never matches across jobs.
+		table := map[string]fleet.Digests{}
 		for _, j := range jobs {
 			if j.Digests == nil {
 				fatal("job %d finished without digests", j.ID)
 			}
-			if prev, seen := table[j.Spec]; seen && prev != *j.Digests {
+			key, err := json.Marshal(j.Spec)
+			check(err)
+			if prev, seen := table[string(key)]; seen && prev != *j.Digests {
 				fatal("determinism violation: jobs sharing a spec (seed %d) diverged", j.Spec.Seed)
 			}
-			table[j.Spec] = *j.Digests
+			table[string(key)] = *j.Digests
 		}
 		fmt.Printf("fleetctl: digests verified across %d jobs (%d distinct specs)\n",
 			len(jobs), len(table))
@@ -183,7 +197,7 @@ func cmdWait(c *fleet.Client, args []string) {
 
 // cmdRun submits one job, streams its telemetry to completion, and
 // optionally cross-checks the server's digests against a local replay.
-func cmdRun(c *fleet.Client, telem string, args []string) {
+func cmdRun(c *fleet.Client, args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	spec := jobFlags(fs)
 	checkDigests := fs.Bool("check", false, "replay the spec locally and compare digests")
@@ -192,10 +206,10 @@ func cmdRun(c *fleet.Client, telem string, args []string) {
 	ids, err := c.Submit([]fleet.JobSpec{*spec})
 	check(err)
 	id := ids[0]
-	conn, err := fleet.DialStream(telem, id)
+	stream, err := c.Telemetry(id)
 	check(err)
-	data, err := io.ReadAll(conn)
-	conn.Close()
+	data, err := io.ReadAll(stream)
+	stream.Close()
 	check(err)
 
 	gs := groundstation.New(nil)
@@ -227,16 +241,16 @@ func cmdRun(c *fleet.Client, telem string, args []string) {
 	}
 }
 
-func cmdStream(telem string, args []string) {
+func cmdStream(c *fleet.Client, args []string) {
 	fs := flag.NewFlagSet("stream", flag.ExitOnError)
 	id := fs.Uint64("id", 0, "job to subscribe to")
 	stall := fs.Bool("stall", false, "subscribe but never read, until killed")
 	minHB := fs.Int("min-heartbeats", 1, "fail below this many heartbeats (non-stall)")
 	fs.Parse(args)
 
-	conn, err := fleet.DialStream(telem, *id)
+	stream, err := c.Telemetry(*id)
 	check(err)
-	defer conn.Close()
+	defer stream.Close()
 
 	if *stall {
 		// Hold the subscription without draining it: the laggard client the
@@ -252,7 +266,7 @@ func cmdStream(telem string, args []string) {
 	frames, heartbeats := 0, 0
 	buf := make([]byte, 32<<10)
 	for {
-		n, err := conn.Read(buf)
+		n, err := stream.Read(buf)
 		for _, f := range p.Push(buf[:n]) {
 			frames++
 			if f.MsgID == mavlink.MsgHeartbeat {

@@ -1,17 +1,18 @@
-// Command fleetd hosts the multi-tenant fleet-simulation server: a JSON
-// job API over HTTP plus a framed TCP telemetry feed, both fronting one
-// fleet.Server engine that shards flights across scenario.Batch instances.
+// Command fleetd hosts the multi-tenant fleet-simulation server: one HTTP
+// listener serving the JSON job API and each job's live telemetry stream
+// (GET /jobs/{id}/telemetry), fronting one fleet.Server engine that shards
+// flights across scenario.Batch instances.
 //
 // Usage:
 //
-//	fleetd                                  # API on :8480, telemetry on :8481
-//	fleetd -http 127.0.0.1:0 -telem 127.0.0.1:0 -addrfile /tmp/fleetd.addr
+//	fleetd                                  # API and telemetry on :8480
+//	fleetd -http 127.0.0.1:0 -addrfile /tmp/fleetd.addr
 //	fleetd -shards 4 -lanes 10240 -lite     # 10k-lane configuration
 //	fleetd -journal /var/lib/fleetd         # crash-safe: jobs survive SIGKILL
 //
-// With -addrfile the actually-bound addresses are written as shell-
-// sourceable lines (http_addr=..., telem_addr=...) once both listeners are
-// up — the hook scripts and smoke tests use this to avoid fixed ports.
+// With -addrfile the actually-bound address is written as a shell-
+// sourceable line (http_addr=...) once the listener is up — the hook
+// scripts and smoke tests use this to avoid fixed ports.
 //
 // With -journal every accepted job is fsync'd to a write-ahead log before
 // the submission is acknowledged; after a crash, restarting with the same
@@ -40,7 +41,6 @@ import (
 
 func main() {
 	httpAddr := flag.String("http", "127.0.0.1:8480", "job API listen address")
-	telemAddr := flag.String("telem", "127.0.0.1:8481", "telemetry stream listen address")
 	shards := flag.Int("shards", 0, "batch shards (0 = server default)")
 	lanes := flag.Int("lanes", 0, "max concurrent lanes (0 = server default)")
 	maxQueue := flag.Int("maxqueue", 0, "admission queue bound; beyond it submits get 429 (0 = default 4096)")
@@ -86,26 +86,21 @@ func main() {
 	if err != nil {
 		fatal("http listen: %v", err)
 	}
-	telemLn, err := net.Listen("tcp", *telemAddr)
-	if err != nil {
-		fatal("telemetry listen: %v", err)
-	}
 	if *addrfile != "" {
-		body := fmt.Sprintf("http_addr=%s\ntelem_addr=%s\n",
-			httpLn.Addr(), telemLn.Addr())
+		body := fmt.Sprintf("http_addr=%s\n", httpLn.Addr())
 		if err := os.WriteFile(*addrfile, []byte(body), 0o644); err != nil {
 			fatal("addrfile: %v", err)
 		}
 	}
-	fmt.Printf("fleetd: job API on %s, telemetry on %s\n", httpLn.Addr(), telemLn.Addr())
+	fmt.Printf("fleetd: job API and telemetry on %s\n", httpLn.Addr())
 
 	go srv.Run()
-	go srv.ServeTelemetry(telemLn)
 	hs := &http.Server{
 		Handler: http.MaxBytesHandler(srv.Handler(), 64<<20),
 		// A wedged or malicious client must not pin a serving goroutine:
-		// bound every phase of the exchange. (Telemetry streams live on the
-		// separate TCP feed, so no long-lived connection needs these relaxed.)
+		// bound every phase of the exchange. A telemetry stream extends its
+		// own write deadline per frame, so it outlives WriteTimeout while
+		// its subscriber keeps reading.
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      60 * time.Second,
@@ -128,7 +123,7 @@ func main() {
 	}()
 
 	rep := srv.Drain(*drainGrace)
-	hs.Close()
+	hs.Close() // cuts telemetry subscribers still stalled after the flush grace
 	fmt.Printf("fleetd: drained: %d completed, %d failed, %d requeued, %d abandoned\n",
 		rep.Completed, rep.Failed, rep.Requeued, rep.Abandoned)
 	if n := rep.Lost(); n > 0 {

@@ -14,6 +14,7 @@ import (
 
 	"dronedse/fleet"
 	"dronedse/fleet/journal"
+	"dronedse/mission"
 )
 
 // Crash-safety property tests. The central claim: a fleetd with a journal
@@ -273,7 +274,7 @@ func TestReplayToleratesDupAndOrphanTerminals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := fleet.JobSpec{Seed: 5, Hover: true, MaxSeconds: 2}
+	spec := fleet.JobSpec{Seed: 5, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 2}
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -328,8 +329,8 @@ func TestDeadlineEvictsRunawayJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids, err := srv.SubmitAll([]fleet.JobSpec{
-		{Seed: 1, Hover: true, MaxSeconds: 3600, DeadlineS: 0.05}, // runaway
-		{Seed: 2, Hover: true, MaxSeconds: 2},                     // finishes fine
+		{Seed: 1, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 3600, DeadlineS: 0.05}, // runaway
+		{Seed: 2, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 2},                     // finishes fine
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -487,7 +488,7 @@ func TestDrainRefusesSubmitsAndAbandonsAtGrace(t *testing.T) {
 	go srv.Run()
 	// A flight long enough (1200 simulated seconds) to outlive the tiny
 	// grace below on any machine.
-	if _, err := srv.Submit(fleet.JobSpec{Seed: 31, Hover: true, MaxSeconds: 1200}); err != nil {
+	if _, err := srv.Submit(fleet.JobSpec{Seed: 31, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 1200}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; srv.Stats().Live == 0; i++ {
@@ -505,7 +506,7 @@ func TestDrainRefusesSubmitsAndAbandonsAtGrace(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := srv.Submit(fleet.JobSpec{Seed: 32, Hover: true, MaxSeconds: 2}); !errors.Is(err, fleet.ErrDraining) {
+	if _, err := srv.Submit(fleet.JobSpec{Seed: 32, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 2}); !errors.Is(err, fleet.ErrDraining) {
 		t.Fatalf("submit during drain: %v, want ErrDraining", err)
 	}
 	rep := <-repCh

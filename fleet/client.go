@@ -105,44 +105,54 @@ func (c *Client) do(method, path string, body, out any) error {
 // doOnce issues one request and decodes the JSON response into out (when
 // non-nil).
 func (c *Client) doOnce(method, path string, body, out any) error {
+	resp, err := c.send(method, path, body)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(data, out)
+}
+
+// send issues one request and returns the 200 response, body unread; any
+// other status becomes a statusError.
+func (c *Client) send(method, path string, body any) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		data, err := json.Marshal(body)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rd = bytes.NewReader(data)
 	}
 	req, err := http.NewRequest(method, c.Base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if resp.StatusCode == http.StatusOK {
+		return resp, nil
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-	if err != nil {
-		return err
+	// A failed read leaves no error message; the status line stands in.
+	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	var e struct {
+		Error string `json:"error"`
 	}
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return &statusError{code: resp.StatusCode, msg: fmt.Sprintf("fleetd: %s", e.Error)}
-		}
-		return &statusError{code: resp.StatusCode,
-			msg: fmt.Sprintf("fleetd: %s %s: %s", method, path, resp.Status)}
+	if json.Unmarshal(data, &e) == nil && e.Error != "" {
+		return nil, &statusError{code: resp.StatusCode, msg: fmt.Sprintf("fleetd: %s", e.Error)}
 	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
+	return nil, &statusError{code: resp.StatusCode,
+		msg: fmt.Sprintf("fleetd: %s %s: %s", method, path, resp.Status)}
 }
 
 // Submit enqueues jobs and returns their IDs.
@@ -247,47 +257,14 @@ func (c *Client) WaitAll(timeout, poll time.Duration) ([]JobStatus, error) {
 	}
 }
 
-// DialStream subscribes to a job's telemetry over the framed TCP protocol:
-// it dials addr, sends the SUB line, and verifies the OK handshake. The
-// returned connection yields the job's raw MAVLink stream until the job
-// finishes (EOF); close it to unsubscribe.
-func DialStream(addr string, id uint64) (net.Conn, error) {
-	conn, err := net.Dial("tcp", addr)
+// Telemetry subscribes to a job's live MAVLink stream (GET
+// /jobs/{id}/telemetry). It returns once the server has attached the
+// subscriber; the body yields whole frames until the job finishes (EOF).
+// Close it to unsubscribe.
+func (c *Client) Telemetry(id uint64) (io.ReadCloser, error) {
+	resp, err := c.send(http.MethodGet, fmt.Sprintf("/jobs/%d/telemetry", id), nil)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := fmt.Fprintf(conn, "SUB %d\n", id); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	conn.SetReadDeadline(time.Now().Add(HandshakeTimeout))
-	// Read the status line unbuffered, byte by byte, so no telemetry bytes
-	// that follow "OK\n" are swallowed by a reader we then discard.
-	status, err := readLine(conn, 256)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("fleet: subscribe handshake: %w", err)
-	}
-	if strings.TrimSpace(status) != "OK" {
-		conn.Close()
-		return nil, fmt.Errorf("fleet: subscribe refused: %s", strings.TrimSpace(status))
-	}
-	conn.SetReadDeadline(time.Time{})
-	return conn, nil
-}
-
-// readLine reads up to limit bytes one at a time until '\n'.
-func readLine(r io.Reader, limit int) (string, error) {
-	var line []byte
-	buf := make([]byte, 1)
-	for len(line) < limit {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return "", err
-		}
-		if buf[0] == '\n' {
-			return string(line), nil
-		}
-		line = append(line, buf[0])
-	}
-	return "", fmt.Errorf("handshake line over %d bytes", limit)
+	return resp.Body, nil
 }

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash"
 	"math"
 
@@ -62,13 +63,14 @@ func (s JobState) Terminal() bool { return s == JobDone || s == JobFailed }
 // fault-injector objects — those stay in-process). Zero values select the
 // same defaults scenario.Spec documents.
 type JobSpec struct {
-	Seed        int64   `json:"seed"`
-	Hover       bool    `json:"hover,omitempty"`
+	Seed int64 `json:"seed"`
+	// MaxSeconds bounds the simulated flight (0 = the scenario default of
+	// 240 s; at most MaxJobSeconds).
 	MaxSeconds  float64 `json:"max_seconds,omitempty"`
 	TakeoffAltM float64 `json:"takeoff_alt_m,omitempty"`
 
-	// Workload selects what the vehicle does after takeoff (nil plus Hover
-	// false = the reference box mission; see mission.WireSpec for the kinds).
+	// Workload selects what the vehicle does after takeoff (nil = the
+	// reference box mission; see mission.WireSpec for the kinds).
 	Workload *mission.WireSpec `json:"workload,omitempty"`
 
 	WindMeanMS float64 `json:"wind_mean_ms,omitempty"`
@@ -93,16 +95,41 @@ type JobSpec struct {
 	DeadlineS float64 `json:"deadline_s,omitempty"`
 }
 
-// Validate vets the wire form before any engine resources are committed to
-// it: an unknown workload kind or a malformed workload payload is a tenant
-// error the server must refuse at submit time (HTTP 400), not an engine
-// fault mid-flight.
+// MaxJobSeconds caps JobSpec.MaxSeconds. The engine sizes each flight's
+// trajectory, log and trace buffers from MaxSeconds, so an unbounded value
+// is an unbounded allocation; an hour is the longest flight any caller flies.
+const MaxJobSeconds = 3600
+
+// Validate vets the wire form before anything is journaled or any engine
+// resources are committed to it: every float finite, every count and size
+// non-negative, MaxSeconds within MaxJobSeconds, and a well-formed workload.
+// A failure is a tenant error the server refuses at submit time (HTTP 400),
+// not an engine fault mid-flight.
 func (j JobSpec) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"max_seconds", j.MaxSeconds},
+		{"takeoff_alt_m", j.TakeoffAltM},
+		{"wind_mean_ms", j.WindMeanMS},
+		{"wind_gust_ms", j.WindGustMS},
+		{"battery_capacity_mah", j.BatteryCapacityMah},
+		{"battery_c_rating", j.BatteryCRating},
+		{"deadline_s", j.DeadlineS},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("fleet: %s must be finite and non-negative, got %v", f.name, f.v)
+		}
+	}
+	if j.BatteryCells < 0 || j.TelemetryEverySteps < 0 {
+		return errors.New("fleet: battery_cells and telemetry_every_steps must be non-negative")
+	}
+	if j.MaxSeconds > MaxJobSeconds {
+		return fmt.Errorf("fleet: max_seconds %v exceeds %d", j.MaxSeconds, MaxJobSeconds)
+	}
 	if j.Workload == nil {
 		return nil
-	}
-	if j.Hover {
-		return errors.New("fleet: job sets both hover and a workload")
 	}
 	return j.Workload.Validate()
 }
@@ -112,7 +139,6 @@ func (j JobSpec) Validate() error {
 func (j JobSpec) Scenario() scenario.Spec {
 	spec := scenario.Spec{
 		Seed:        j.Seed,
-		Hover:       j.Hover,
 		MaxSeconds:  j.MaxSeconds,
 		TakeoffAltM: j.TakeoffAltM,
 		Wind:        scenario.Wind{MeanMS: j.WindMeanMS, GustMS: j.WindGustMS},

@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,7 +122,6 @@ type Server struct {
 	nextID   uint64
 	closed   bool
 	draining bool
-	conns    map[net.Conn]struct{} // live telemetry connections
 
 	// Engine-owned (no mu): only the Advance caller touches the shards.
 	shards []*shard
@@ -136,8 +134,8 @@ type Server struct {
 	// out of the engine-owned shard tables so Stats never reads those.
 	completed, failed, peakLive, live int
 
-	// subWG tracks telemetry-serving goroutines so Shutdown can wait for
-	// subscribers to flush before force-closing their connections.
+	// subWG tracks telemetry stream handlers so Shutdown can wait, bounded,
+	// for subscribers to flush.
 	subWG sync.WaitGroup
 
 	wake        chan struct{}
@@ -149,14 +147,13 @@ type Server struct {
 	reqOnce     sync.Once
 }
 
-// New builds an idle server; drive it with Run (or Advance) plus the
-// Handler/ServeTelemetry front ends.
+// New builds an idle server; drive it with Run (or Advance) and serve its
+// Handler.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:         cfg,
 		jobs:        make(map[uint64]*job),
-		conns:       make(map[net.Conn]struct{}),
 		wake:        make(chan struct{}, 1),
 		quit:        make(chan struct{}),
 		engineDone:  make(chan struct{}),
@@ -186,7 +183,21 @@ func NewJournaled(cfg Config, dir string) (*Server, *Recovery, error) {
 	s := New(cfg)
 	s.jl = jl
 	s.mu.Lock()
-	for _, rj := range rec.Jobs {
+	for i := range rec.Jobs {
+		rj := &rec.Jobs[i]
+		if !rj.Done {
+			// A SUBMIT journaled before validation covered it would fail
+			// (or crash) at admission on every start: fail it durably
+			// instead of re-flying it. If the DONE write fails, the next
+			// start reaches the same verdict, and Ready reports the journal.
+			if err := rj.Spec.Validate(); err != nil {
+				err = fmt.Errorf("%w: %v", ErrBadSpec, err)
+				_ = appendDone(jl, rj.ID, nil, nil, err)
+				rj.Done, rj.Err = true, err.Error()
+				rec.Readmitted--
+				rec.Failed++
+			}
+		}
 		j := &job{id: rj.ID, spec: rj.Spec, hub: groundstation.NewHub()}
 		switch {
 		case !rj.Done:
@@ -564,18 +575,17 @@ func (s *Server) Drain(grace time.Duration) DrainReport {
 }
 
 // subscriberFlushGrace bounds how long Shutdown waits for telemetry
-// subscribers to drain their queued units before force-closing their
-// connections. A reading subscriber flushes in milliseconds; a stalled one
-// is cut at the deadline.
+// subscribers to drain their queued units. A reading subscriber flushes in
+// milliseconds; a stalled one is left to its write deadline, or to the
+// host's http.Server.Close.
 const subscriberFlushGrace = 2 * time.Second
 
 // Shutdown stops the service in EOF-clean order: stop admissions, stop the
 // engine loop and wait for it to fully drain (no goroutine is mid-Publish
 // afterwards), then close every job's telemetry hub so subscribers drain
-// their queues to a clean, frame-aligned EOF, and only then — after a
-// bounded flush grace — force-close whatever connections remain (stalled
-// subscribers). Queued jobs stay queued; running lanes stop where they are
-// (journaled jobs replay on the next start). Idempotent.
+// their queues to a clean, frame-aligned EOF, waiting for them at most
+// subscriberFlushGrace. Queued jobs stay queued; running lanes stop where
+// they are (journaled jobs replay on the next start). Idempotent.
 func (s *Server) Shutdown() {
 	s.mu.Lock()
 	if s.closed {
@@ -606,16 +616,6 @@ func (s *Server) Shutdown() {
 	select {
 	case <-flushed:
 	case <-time.After(subscriberFlushGrace):
-	}
-
-	s.mu.Lock()
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
 	}
 	if s.jl != nil {
 		s.jl.Close()

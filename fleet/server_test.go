@@ -2,51 +2,52 @@ package fleet_test
 
 import (
 	"io"
-	"net"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
 	"dronedse/fleet"
 	"dronedse/groundstation"
 	"dronedse/mavlink"
+	"dronedse/mission"
 )
 
-// startTelemetry attaches a TCP telemetry listener to srv and returns its
-// address. The engine is NOT started — tests drive Advance themselves so
-// subscribers can attach before any telemetry is published.
-func startTelemetry(t *testing.T, srv *fleet.Server) string {
+// startHTTP serves srv's Handler on a loopback test server and returns a
+// client for it. The engine is NOT started — tests drive Advance themselves
+// so subscribers can attach before any telemetry is published.
+func startHTTP(t *testing.T, srv *fleet.Server) *fleet.Client {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	telemErr := make(chan error, 1)
-	go func() { defer wg.Done(); telemErr <- srv.ServeTelemetry(ln) }()
+	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		srv.Shutdown()
 		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
+		go func() { hs.Close(); close(done) }() // waits for every handler
 		select {
 		case <-done:
 		case <-time.After(10 * time.Second):
-			t.Error("telemetry goroutine did not stop after Shutdown")
-		}
-		if err := <-telemErr; err != nil {
-			t.Errorf("telemetry serve: %v", err)
+			t.Error("telemetry handlers did not stop after Shutdown")
 		}
 	})
-	return ln.Addr().String()
+	return fleet.NewClient(hs.URL)
 }
 
-// collectStream drains a telemetry connection to EOF (the job finishing).
-func collectStream(t *testing.T, conn net.Conn) []byte {
+// subscribe opens a job's telemetry stream, failing the test on error.
+func subscribe(t *testing.T, c *fleet.Client, id uint64) io.ReadCloser {
 	t.Helper()
-	conn.SetReadDeadline(time.Now().Add(60 * time.Second))
-	data, err := io.ReadAll(conn)
+	body, err := c.Telemetry(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// collectStream drains a telemetry stream to EOF (the job finishing); a
+// stream still open after 60 s is cut and fails the test.
+func collectStream(t *testing.T, body io.ReadCloser) []byte {
+	t.Helper()
+	timer := time.AfterFunc(60*time.Second, func() { body.Close() })
+	defer timer.Stop()
+	data, err := io.ReadAll(body)
 	if err != nil {
 		t.Fatalf("stream read: %v (got %d bytes)", err, len(data))
 	}
@@ -65,13 +66,13 @@ func parseStream(t *testing.T, data []byte) []mavlink.Frame {
 	return frames
 }
 
-// TestServeTelemetryStreamAndStall is the backpressure acceptance path: a
+// TestTelemetryStreamAndStall is the backpressure acceptance path: a
 // healthy subscriber receives a parseable stream to clean EOF while a
 // stalled subscriber on a co-tenant job sheds frames, and every job still
 // completes (the tick loop never waits on a socket).
-func TestServeTelemetryStreamAndStall(t *testing.T) {
+func TestTelemetryStreamAndStall(t *testing.T) {
 	srv := fleet.New(fleet.Config{Shards: 2, MaxLanes: 32, SubQueue: 4})
-	telemAddr := startTelemetry(t, srv)
+	c := startHTTP(t, srv)
 
 	specs := coTenants(8, 300)
 	ids, err := srv.SubmitAll(specs)
@@ -80,17 +81,11 @@ func TestServeTelemetryStreamAndStall(t *testing.T) {
 	}
 
 	// Stalled subscriber on job 0: subscribes, never reads.
-	stalled, err := fleet.DialStream(telemAddr, ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	stalled := subscribe(t, c, ids[0])
 	defer stalled.Close()
 
 	// Healthy subscriber on job 1: reads to EOF.
-	healthy, err := fleet.DialStream(telemAddr, ids[1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	healthy := subscribe(t, c, ids[1])
 	defer healthy.Close()
 
 	// Drive the engine to drain concurrently with the healthy read. The
@@ -133,40 +128,40 @@ func TestServeTelemetryStreamAndStall(t *testing.T) {
 // TestStreamReconnectResubscribe drops a subscriber mid-flight and
 // resubscribes: both segments must be frame-aligned with strictly monotone
 // heartbeat timestamps across the gap (no duplicated or interleaved
-// frames), mirroring the hub-level contract over real TCP.
+// frames), mirroring the hub-level contract over HTTP.
 func TestStreamReconnectResubscribe(t *testing.T) {
 	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 4, SubQueue: 4096})
-	telemAddr := startTelemetry(t, srv)
-	id, err := srv.Submit(fleet.JobSpec{Seed: 9, Hover: true, MaxSeconds: 30, TelemetryEverySteps: 100})
+	c := startHTTP(t, srv)
+	id, err := srv.Submit(fleet.JobSpec{Seed: 9, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 30, TelemetryEverySteps: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	conn1, err := fleet.DialStream(telemAddr, id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn1 := subscribe(t, c, id)
 	// Publish ~20 telemetry units, then read a prefix of them.
 	for i := 0; i < 20; i++ {
 		srv.Advance(100)
 	}
 	seg1 := make([]byte, 4096)
-	conn1.SetReadDeadline(time.Now().Add(30 * time.Second))
 	n1, err := io.ReadAtLeast(conn1, seg1, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	conn1.Close() // link drop mid-stream
+	// The server notices the drop without publishing anything more.
+	for i := 0; srv.Stats().Subscribers != 0; i++ {
+		if i > 5000 {
+			t.Fatal("dropped subscriber still attached after 10 s")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 
 	// Units published while disconnected are lost, not replayed.
 	for i := 0; i < 5; i++ {
 		srv.Advance(100)
 	}
 
-	conn2, err := fleet.DialStream(telemAddr, id) // reconnect + resubscribe
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn2 := subscribe(t, c, id) // reconnect + resubscribe
 	defer conn2.Close()
 	drive(t, srv) // fly the job out; its hub close ends the stream
 	seg2 := collectStream(t, conn2)
@@ -174,7 +169,7 @@ func TestStreamReconnectResubscribe(t *testing.T) {
 		t.Fatal("resubscribed stream empty")
 	}
 
-	// seg1 may end mid-frame (the TCP cut is byte-granular); trim to the
+	// seg1 may end mid-frame (the read is byte-granular); trim to the
 	// last complete frame before checking alignment.
 	var p1 mavlink.Parser
 	f1 := p1.Push(seg1[:n1])
@@ -218,8 +213,8 @@ func TestHTTPAPI(t *testing.T) {
 
 	c := fleet.NewClient(hs.URL)
 	ids, err := c.Submit([]fleet.JobSpec{
-		{Seed: 1, Hover: true, MaxSeconds: 2},
-		{Seed: 2, Hover: true, MaxSeconds: 2},
+		{Seed: 1, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 2},
+		{Seed: 2, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 2},
 	})
 	if err != nil || len(ids) != 2 {
 		t.Fatalf("submit: ids=%v err=%v", ids, err)
@@ -239,6 +234,9 @@ func TestHTTPAPI(t *testing.T) {
 	}
 	if _, err := c.Job(9999); err == nil {
 		t.Fatal("unknown job id did not 404")
+	}
+	if _, err := c.Telemetry(9999); err == nil {
+		t.Fatal("telemetry for an unknown job id did not 404")
 	}
 	stats, err := c.Stats()
 	if err != nil || stats.Completed != 2 || stats.Submitted != 2 {
@@ -289,9 +287,9 @@ func TestSubmitAfterShutdown(t *testing.T) {
 func TestBuildFailureFailsJobOnly(t *testing.T) {
 	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 4})
 	ids, err := srv.SubmitAll([]fleet.JobSpec{
-		{Seed: 1, Hover: true, MaxSeconds: 2},
-		{Seed: 2, Hover: true, MaxSeconds: 2, BatteryCells: -3},
-		{Seed: 3, Hover: true, MaxSeconds: 2},
+		{Seed: 1, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 2},
+		{Seed: 2, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 2, BatteryCells: 13}, // valid wire form; the pack takes 1-12 cells
+		{Seed: 3, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -316,18 +314,16 @@ func TestBuildFailureFailsJobOnly(t *testing.T) {
 // published into a closed hub.
 func TestShutdownWithActiveSubscriberCleanEOF(t *testing.T) {
 	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 2, SubQueue: 8192, TickStride: 250})
-	telemAddr := startTelemetry(t, srv)
+	c := startHTTP(t, srv)
 
 	// A flight long enough to still be airborne at shutdown, publishing at
 	// a brisk cadence.
-	id, err := srv.Submit(fleet.JobSpec{Seed: 11, Hover: true, MaxSeconds: 1200, TelemetryEverySteps: 100})
+	id, err := srv.Submit(fleet.JobSpec{Seed: 11, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 1200, TelemetryEverySteps: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := fleet.DialStream(telemAddr, id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := subscribe(t, c, id)
+	defer conn.Close()
 	streamed := make(chan []byte, 1)
 	go func() {
 		data, _ := io.ReadAll(conn) // reads until the server ends the stream
@@ -369,5 +365,76 @@ func TestShutdownWithActiveSubscriberCleanEOF(t *testing.T) {
 	}
 	if st.TelemetryBacklog != 0 {
 		t.Fatalf("%d units left queued after shutdown drain", st.TelemetryBacklog)
+	}
+}
+
+// TestTelemetryOutlastsWriteTimeout: a host http.Server whose WriteTimeout
+// and ReadTimeout are far shorter than the flight's wall time still
+// delivers the whole frame-aligned stream, ending in a clean EOF — each
+// unit's write extends the deadline, and the read timeout does not end the
+// request mid-stream.
+func TestTelemetryOutlastsWriteTimeout(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 1, SubQueue: 4096})
+	hs := httptest.NewUnstartedServer(srv.Handler())
+	hs.Config.ReadTimeout = timeout
+	hs.Config.WriteTimeout = timeout
+	hs.Start()
+	defer hs.Close()
+	defer srv.Shutdown()
+
+	id, err := srv.Submit(fleet.JobSpec{Seed: 13, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := subscribe(t, fleet.NewClient(hs.URL), id)
+	defer body.Close()
+	streamed := make(chan []byte, 1)
+	go func() {
+		data, err := io.ReadAll(body)
+		if err != nil {
+			t.Errorf("stream read: %v (got %d bytes)", err, len(data))
+		}
+		streamed <- data
+	}()
+
+	// Pace the engine so the flight spans many timeouts of wall time.
+	start := time.Now()
+	for srv.Advance(250) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if wall := time.Since(start); wall < 3*timeout {
+		t.Fatalf("flight took %v of wall time; the test needs well over %v", wall, timeout)
+	}
+
+	var data []byte
+	select {
+	case data = <-streamed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("stream never reached EOF")
+	}
+	heartbeats := 0
+	for _, f := range parseStream(t, data) {
+		if f.MsgID == mavlink.MsgHeartbeat {
+			heartbeats++
+		}
+	}
+	st := srv.Stats()
+	if st.FramesPublished == 0 || uint64(heartbeats) != st.FramesPublished || st.FramesDropped != 0 {
+		t.Fatalf("subscriber parsed %d heartbeats of %d published units (%d shed)",
+			heartbeats, st.FramesPublished, st.FramesDropped)
+	}
+}
+
+// TestLaneStepsFirstAdvance: a shard's first advance counts its lanes'
+// steps, though the batch only starts inside that advance.
+func TestLaneStepsFirstAdvance(t *testing.T) {
+	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 4})
+	if _, err := srv.SubmitAll(coTenants(3, 900)); err != nil {
+		t.Fatal(err)
+	}
+	srv.Advance(100)
+	if got := srv.Stats().LaneSteps; got != 300 {
+		t.Fatalf("lane steps after one 100-step advance of 3 lanes = %d, want 300", got)
 	}
 }

@@ -1,11 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
 
 	"dronedse/fleet/journal"
+	"dronedse/mission"
 )
 
 // The fleet write-ahead log: every accepted JobSpec is journaled and fsync'd
@@ -33,7 +35,32 @@ const JournalFile = "fleet.wal"
 
 type submitRec struct {
 	ID   uint64  `json:"id"`
-	Spec JobSpec `json:"spec"`
+	Spec walSpec `json:"spec"`
+}
+
+// walSpec is a journaled JobSpec. Journals written before the hover flag
+// became the "hover" workload kind carry "hover": true in SUBMIT records;
+// replay migrates that flag to Workload{KindName: "hover"}, which flies
+// bit-identically, so the journal format is unchanged. New records never
+// set it.
+type walSpec struct {
+	JobSpec
+	Hover bool `json:"hover,omitempty"`
+}
+
+// decodeSubmit parses a SUBMIT payload strictly — an unknown field fails
+// recovery — except for the one migrated legacy field.
+func decodeSubmit(payload []byte) (submitRec, error) {
+	var sr submitRec
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sr); err != nil {
+		return sr, err
+	}
+	if sr.Spec.Hover && sr.Spec.Workload == nil {
+		sr.Spec.Workload = &mission.WireSpec{KindName: "hover"}
+	}
+	return sr, nil
 }
 
 type doneRec struct {
@@ -113,15 +140,15 @@ func replayJournal(recs []journal.Record) (*Recovery, uint64, error) {
 	for i, r := range recs {
 		switch r.Kind {
 		case walSubmit:
-			var sr submitRec
-			if err := json.Unmarshal(r.Payload, &sr); err != nil {
+			sr, err := decodeSubmit(r.Payload)
+			if err != nil {
 				return nil, 0, fmt.Errorf("fleet: journal record %d: bad SUBMIT: %w", i, err)
 			}
 			if _, dup := byID[sr.ID]; dup {
 				continue // duplicate SUBMIT: first wins
 			}
 			byID[sr.ID] = len(rec.Jobs)
-			rec.Jobs = append(rec.Jobs, RecoveredJob{ID: sr.ID, Spec: sr.Spec})
+			rec.Jobs = append(rec.Jobs, RecoveredJob{ID: sr.ID, Spec: sr.Spec.JobSpec})
 			if sr.ID > maxID {
 				maxID = sr.ID
 			}
@@ -186,7 +213,7 @@ func mustJSON(v any) []byte {
 func appendSubmits(jl *journal.Log, jobs []*job) error {
 	recs := make([]journal.Record, len(jobs))
 	for i, j := range jobs {
-		recs[i] = journal.Record{Kind: walSubmit, Payload: mustJSON(submitRec{ID: j.id, Spec: j.spec})}
+		recs[i] = journal.Record{Kind: walSubmit, Payload: mustJSON(submitRec{ID: j.id, Spec: walSpec{JobSpec: j.spec}})}
 	}
 	return jl.AppendBatch(recs)
 }

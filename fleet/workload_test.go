@@ -98,7 +98,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Seed: 1, Workload: &mission.WireSpec{KindName: "delivery",
 			Delivery: &mission.Delivery{Legs: []mission.DeliveryLeg{
 				{Pickup: mathx.V3(1, 0, 0), Dropoff: mathx.V3(2, 0, 5)}}}}}, // pickup on the ground
-		{Seed: 1, Hover: true, Workload: &mission.WireSpec{KindName: "box"}}, // both unions set
 	}
 
 	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 4})
@@ -106,7 +105,7 @@ func TestSubmitValidation(t *testing.T) {
 		// The bad job rides second: the whole batch must be refused with no
 		// partial admission.
 		ids, err := srv.SubmitAll([]fleet.JobSpec{
-			{Seed: 9, Hover: true, MaxSeconds: 2}, bad})
+			{Seed: 9, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 2}, bad})
 		if !errors.Is(err, fleet.ErrBadSpec) {
 			t.Fatalf("bad workload admitted: ids=%v err=%v", ids, err)
 		}

@@ -209,8 +209,8 @@ func (s *Sub) close() {
 
 // StreamTo pumps a subscription into w until the subscription closes and
 // drains (returns nil) or a write fails (returns the write error). It is
-// the serving side of a telemetry TCP connection: a stalled w blocks only
-// this call — the hub keeps publishing and this subscriber sheds.
+// the serving side of a telemetry stream: a stalled w blocks only this
+// call — the hub keeps publishing and this subscriber sheds.
 func StreamTo(w io.Writer, sub *Sub) error {
 	for {
 		unit, ok := sub.Next()

@@ -54,6 +54,7 @@ func NewBatch(specs []Spec) *Batch {
 		}
 		b.lanes[i] = st
 	}
+	b.recount()
 	return b
 }
 
@@ -70,19 +71,17 @@ func NewBatchOf(stacks ...*Stack) *Batch {
 			b.done[i], b.errs[i] = true, errors.New("scenario: nil lane")
 		}
 	}
+	b.recount()
 	return b
 }
 
 // Len returns the lane count.
 func (b *Batch) Len() int { return len(b.lanes) }
 
-// Live returns how many lanes are still flying.
-func (b *Batch) Live() int {
-	if !b.started {
-		return 0
-	}
-	return b.live
-}
+// Live returns how many admitted lanes have not finished, whether or not
+// the batch has started, so `for b.Live() > 0 { b.TickN(k) }` flies a fresh
+// batch to completion. Start drops lanes whose arming fails.
+func (b *Batch) Live() int { return b.live }
 
 // Lane exposes lane i's stack (nil when its Build failed or the lane was
 // evicted).
@@ -125,10 +124,10 @@ func (b *Batch) Admit(st *Stack) int {
 	if b.started {
 		if err := st.Start(); err != nil {
 			b.done[i], b.errs[i] = true, err
-		} else {
-			b.live++
+			return i
 		}
 	}
+	b.live++
 	return i
 }
 
@@ -146,9 +145,7 @@ func (b *Batch) Abort(i int, reason error) {
 		reason = errors.New("scenario: lane aborted")
 	}
 	b.done[i], b.errs[i] = true, reason
-	if b.started {
-		b.live--
-	}
+	b.live--
 }
 
 // LaneSimTimeS reports lane i's current simulated time in seconds (0 for a

@@ -9,6 +9,7 @@ import (
 	"math"
 	"testing"
 
+	"dronedse/mission"
 	"dronedse/parallelx"
 	"dronedse/scenario"
 	"dronedse/sim"
@@ -20,14 +21,14 @@ import (
 // and mission flights truncated by MaxSeconds mid-air.
 func identitySpecs() []scenario.Spec {
 	return []scenario.Spec{
-		{Seed: 11, Hover: true, MaxSeconds: 2},
-		{Seed: 12, Hover: true, MaxSeconds: 3, Wind: scenario.Wind{MeanMS: 4, GustMS: 2}},
+		{Seed: 11, Workload: mission.Hover{}, MaxSeconds: 2},
+		{Seed: 12, Workload: mission.Hover{}, MaxSeconds: 3, Wind: scenario.Wind{MeanMS: 4, GustMS: 2}},
 		{Seed: 13, MaxSeconds: 25},
 		{Seed: 14, MaxSeconds: 30, Wind: scenario.Wind{MeanMS: 6, GustMS: 3}},
-		{Seed: 15, Hover: true, MaxSeconds: 2, Compute: scenario.Compute{SLAM: true}},
-		{Seed: 16, Hover: true, MaxSeconds: 4, TakeoffAltM: 8},
+		{Seed: 15, Workload: mission.Hover{}, MaxSeconds: 2, Compute: scenario.Compute{SLAM: true}},
+		{Seed: 16, Workload: mission.Hover{}, MaxSeconds: 4, TakeoffAltM: 8},
 		{Seed: 17, MaxSeconds: 20, TraceSeed: 99},
-		{Seed: 18, Hover: true, MaxSeconds: 2, Battery: scenario.Battery{Cells: 4, CapacityMah: 5000}},
+		{Seed: 18, Workload: mission.Hover{}, MaxSeconds: 2, Battery: scenario.Battery{Cells: 4, CapacityMah: 5000}},
 	}
 }
 
@@ -112,11 +113,11 @@ func TestBatchSerialBitIdentity(t *testing.T) {
 // TestBatchTickGranularityInvariance pins that the interleaving granularity
 // (one tick at a time vs the Run stride) is unobservable in lane results.
 func TestBatchTickGranularityInvariance(t *testing.T) {
-	spec := scenario.Spec{Seed: 31, Hover: true, MaxSeconds: 2}
+	spec := scenario.Spec{Seed: 31, Workload: mission.Hover{}, MaxSeconds: 2}
 	res, err := scenario.Run(spec)
 	want := resultDigest(t, res, err)
 
-	b := scenario.NewBatch([]scenario.Spec{{Seed: 31, Hover: true, MaxSeconds: 2}})
+	b := scenario.NewBatch([]scenario.Spec{{Seed: 31, Workload: mission.Hover{}, MaxSeconds: 2}})
 	b.Start()
 	for !b.Tick() {
 	}
@@ -126,19 +127,56 @@ func TestBatchTickGranularityInvariance(t *testing.T) {
 	}
 }
 
+// TestBatchLiveLoop pins Live on a batch that has not started: it counts
+// every admitted lane, so the `for b.Live() > 0 { b.TickN(k) }` loop flies
+// the batch and reproduces Run's per-lane digests.
+func TestBatchLiveLoop(t *testing.T) {
+	specs := identitySpecs()
+	want := make([]string, len(specs))
+	for i, spec := range specs {
+		res, err := scenario.Run(spec)
+		want[i] = resultDigest(t, res, err)
+	}
+
+	b := scenario.NewBatch(identitySpecs())
+	if b.Live() != len(specs) {
+		t.Fatalf("live = %d before Start, want %d", b.Live(), len(specs))
+	}
+	st, err := scenario.Build(scenario.Spec{Seed: 11, Workload: mission.Hover{}, MaxSeconds: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Admit(st)
+	if b.Live() != len(specs)+1 {
+		t.Fatalf("live = %d after admitting onto an unstarted batch, want %d", b.Live(), len(specs)+1)
+	}
+	for b.Live() > 0 {
+		b.TickN(250)
+	}
+	results, errs := b.Outcomes()
+	for i := range specs {
+		if got := resultDigest(t, results[i], errs[i]); got != want[i] {
+			t.Fatalf("lane %d (seed %d): Live loop diverged from Run", i, specs[i].Seed)
+		}
+	}
+	if got := resultDigest(t, results[len(specs)], errs[len(specs)]); got != want[0] {
+		t.Fatal("lane admitted before Start diverged from Run")
+	}
+}
+
 // TestBatchLaneErrorIsolation: a lane whose Build fails finishes with its
 // error recorded and must not poison its co-tenants' results.
 func TestBatchLaneErrorIsolation(t *testing.T) {
-	good := scenario.Spec{Seed: 41, Hover: true, MaxSeconds: 2}
+	good := scenario.Spec{Seed: 41, Workload: mission.Hover{}, MaxSeconds: 2}
 	wantRes, wantErr := scenario.Run(good)
 	want := resultDigest(t, wantRes, wantErr)
 
 	badQuad := sim.DefaultConfig()
 	badQuad.TWR = 0.5 // below the flying minimum: Build must fail
 	results, errs := scenario.RunBatch([]scenario.Spec{
-		{Seed: 41, Hover: true, MaxSeconds: 2},
+		{Seed: 41, Workload: mission.Hover{}, MaxSeconds: 2},
 		{Seed: 42, Quad: &badQuad},
-		{Seed: 41, Hover: true, MaxSeconds: 2},
+		{Seed: 41, Workload: mission.Hover{}, MaxSeconds: 2},
 	})
 	if errs[1] == nil || results[1] != nil {
 		t.Fatal("bad lane did not report its build error")
@@ -156,8 +194,8 @@ func TestBatchLaneErrorIsolation(t *testing.T) {
 // batch starts empty, the way a fleet server builds it.
 func TestBatchAdmitMidFlightBitIdentity(t *testing.T) {
 	specs := []scenario.Spec{
-		{Seed: 61, Hover: true, MaxSeconds: 2},
-		{Seed: 62, Hover: true, MaxSeconds: 3, Wind: scenario.Wind{MeanMS: 4, GustMS: 2}},
+		{Seed: 61, Workload: mission.Hover{}, MaxSeconds: 2},
+		{Seed: 62, Workload: mission.Hover{}, MaxSeconds: 3, Wind: scenario.Wind{MeanMS: 4, GustMS: 2}},
 		{Seed: 63, MaxSeconds: 20},
 	}
 	want := make([]string, len(specs))
@@ -217,7 +255,7 @@ func TestBatchAdmitMidFlightBitIdentity(t *testing.T) {
 // is recoverable exactly once.
 func TestBatchEvictGuards(t *testing.T) {
 	b := scenario.NewBatchOf()
-	st, err := scenario.Build(scenario.Spec{Seed: 71, Hover: true, MaxSeconds: 2})
+	st, err := scenario.Build(scenario.Spec{Seed: 71, Workload: mission.Hover{}, MaxSeconds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,14 +288,14 @@ func TestBatchEvictGuards(t *testing.T) {
 // reuse, and leaves co-tenant lanes bit-unchanged (their flights never
 // observe the abort).
 func TestBatchAbortLane(t *testing.T) {
-	solo, err := scenario.Run(scenario.Spec{Seed: 81, Hover: true, MaxSeconds: 2})
+	solo, err := scenario.Run(scenario.Spec{Seed: 81, Workload: mission.Hover{}, MaxSeconds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	b := scenario.NewBatch([]scenario.Spec{
-		{Seed: 81, Hover: true, MaxSeconds: 2},
-		{Seed: 82, Hover: true, MaxSeconds: 30},
+		{Seed: 81, Workload: mission.Hover{}, MaxSeconds: 2},
+		{Seed: 82, Workload: mission.Hover{}, MaxSeconds: 30},
 	})
 	b.Start()
 	b.TickN(500)
@@ -291,7 +329,7 @@ func TestBatchAbortLane(t *testing.T) {
 // TestBatchLaneSimTime pins the progress bookkeeping: sim time is 0 before
 // Start, advances with ticks, and reads 0 on evicted lanes.
 func TestBatchLaneSimTime(t *testing.T) {
-	b := scenario.NewBatch([]scenario.Spec{{Seed: 91, Hover: true, MaxSeconds: 5}})
+	b := scenario.NewBatch([]scenario.Spec{{Seed: 91, Workload: mission.Hover{}, MaxSeconds: 5}})
 	if tS := b.LaneSimTimeS(0); tS != 0 {
 		t.Fatalf("sim time before start = %v", tS)
 	}
@@ -315,7 +353,7 @@ func TestBatchZeroAllocSteadyState(t *testing.T) {
 	prev := parallelx.SetPoolSize(1)
 	defer parallelx.SetPoolSize(prev)
 	b := scenario.NewBatch([]scenario.Spec{
-		{Seed: 51, Hover: true},
+		{Seed: 51, Workload: mission.Hover{}},
 		{Seed: 52},
 		{Seed: 53, Wind: scenario.Wind{MeanMS: 4, GustMS: 2}},
 	})

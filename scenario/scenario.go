@@ -1,7 +1,7 @@
 // Package scenario is the unified flight-experiment engine: one declarative
 // Spec describing the paper's experiment shape — a vehicle, an environment,
 // a battery, a compute platform, optional SLAM offload and fault plans, a
-// mission — and one audited Build that performs all the cross-package
+// workload — and one audited Build that performs all the cross-package
 // wiring (quad ↔ sensors ↔ estimator ↔ autopilot ↔ battery ↔ injector ↔
 // trace recorders) that was previously hand-rolled, divergently, by
 // cmd/flysim, faultx.Run, bench.RunFigure16 and the examples.
@@ -13,11 +13,10 @@
 // reproduces the same flight bit for bit — the property the campaign
 // pool-invariance and golden-regression tests pin.
 //
-// What flies after takeoff is a mission.Workload: the driver arms, takes
-// off, then hands the flight to the workload's per-flight Driver until it
-// reports done (see package mission). The legacy Mission/Hover/Trajectory
-// Spec fields remain as inputs and are mapped onto the equivalent adapter
-// workloads by withDefaults — the driver itself no longer branches on them.
+// What flies after takeoff is Spec.Workload, a mission.Workload: the driver
+// arms, takes off, then hands the flight to the workload's per-flight Driver
+// until it reports done (see package mission). A nil Workload flies
+// mission.Box{}, the 12 m reference box.
 //
 // Observer ordering: Build registers step observers on the autopilot's bus
 // in a fixed order — (1) the power-trace recorder, (2) the flight log,
@@ -37,7 +36,6 @@ import (
 	"dronedse/mathx"
 	"dronedse/mission"
 	"dronedse/offload"
-	"dronedse/planner"
 	"dronedse/platform"
 	"dronedse/power"
 	"dronedse/sensors"
@@ -181,20 +179,9 @@ type Spec struct {
 
 	// TakeoffAltM is the takeoff altitude (default 5).
 	TakeoffAltM float64
-	// Workload is what the vehicle does after takeoff. Nil falls back to
-	// the legacy Mission/Hover/Trajectory fields below, and when those are
-	// zero too, to mission.Box{} (the 12 m reference box).
+	// Workload is what the vehicle does after takeoff (nil = mission.Box{},
+	// the 12 m reference box).
 	Workload mission.Workload
-	// Mission is the legacy waypoint-plan field, mapped onto
-	// mission.Waypoints when Workload is nil. Ignored when Hover or
-	// Trajectory is set.
-	Mission autopilot.MissionPlan
-	// Trajectory is the legacy planner-trajectory field, mapped onto
-	// mission.Trajectory when Workload is nil.
-	Trajectory *planner.Trajectory
-	// Hover is the legacy loiter flag (flysim's -hover), mapped onto
-	// mission.Hover when Workload is nil.
-	Hover bool
 	// MaxSeconds bounds the whole flight (default 240).
 	MaxSeconds float64
 
@@ -235,29 +222,10 @@ func (s Spec) withDefaults() Spec {
 	if s.TraceSeed == 0 {
 		s.TraceSeed = s.Seed
 	}
-	// Map the legacy mission-union fields onto their adapter workloads; an
-	// explicit Workload wins over all of them.
 	if s.Workload == nil {
-		switch {
-		case s.Hover:
-			s.Workload = mission.Hover{}
-		case s.Trajectory != nil:
-			s.Workload = mission.Trajectory{Traj: s.Trajectory}
-		case s.Mission != nil:
-			s.Workload = mission.Waypoints{Plan: s.Mission}
-		default:
-			s.Workload = mission.Box{}
-		}
+		s.Workload = mission.Box{}
 	}
 	return s
-}
-
-// BoxMission is the reference 12 m box at the given takeoff altitude — the
-// mission cmd/flysim, faultx campaigns and bench.RunFigure16 all fly, so
-// their outputs stay mutually bit-comparable. It delegates to
-// mission.BoxPlan, the plan mission.Box flies.
-func BoxMission(altM float64) autopilot.MissionPlan {
-	return mission.BoxPlan(altM)
 }
 
 // Stack is a fully wired flight stack, ready to Run. All fields are the
@@ -574,7 +542,7 @@ func (st *Stack) finish() {
 }
 
 // Run drives the stack through the fixed flight sequence: arm, take off
-// (30 s budget), fly the mission (or hover) within Spec.MaxSeconds of total
+// (30 s budget), fly the workload within Spec.MaxSeconds of total
 // simulated time, and return the structured Result. It may be called once;
 // it is exactly a batch of one — Start, then Tick to completion.
 func (st *Stack) Run() (*Result, error) {

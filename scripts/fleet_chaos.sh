@@ -35,13 +35,13 @@ go build -tags failpoint -o "$WORK/fleetd" ./cmd/fleetd
 go build -o "$WORK/fleetctl" ./cmd/fleetctl
 
 JOBS=16
-SUBMIT="submit -n $JOBS -hover -seconds 10 -vary 6 -seed 50"
+SUBMIT="submit -n $JOBS -workload hover -seconds 10 -vary 6 -seed 50"
 
 # start_fleetd <journal-dir>: boot fleetd on dynamic ports against the given
 # journal and point CTL at it. Extra environment (failpoints) via FLEETD_ENV.
 start_fleetd() {
     rm -f "$WORK/addr"
-    env $FLEETD_ENV "$WORK/fleetd" -http 127.0.0.1:0 -telem 127.0.0.1:0 \
+    env $FLEETD_ENV "$WORK/fleetd" -http 127.0.0.1:0 \
         -addrfile "$WORK/addr" -shards 2 -lanes 4 -journal "$1" \
         >>"$WORK/fleetd.log" 2>&1 &
     FLEETD_PID=$!
@@ -51,8 +51,8 @@ start_fleetd() {
         [ "$i" -gt 100 ] && fail "fleetd never wrote its addrfile"
         sleep 0.1
     done
-    . "$WORK/addr" # sets http_addr / telem_addr
-    CTL="$WORK/fleetctl -addr http://$http_addr -telem $telem_addr -retries 8 -wait-ready 15s"
+    . "$WORK/addr" # sets http_addr
+    CTL="$WORK/fleetctl -addr http://$http_addr -retries 8 -wait-ready 15s"
 }
 
 # finish <out-file>: wait for every job, verify digest agreement, snapshot
