@@ -1,13 +1,15 @@
 # Build/CI entry points. `make ci` is the gate every PR must pass: format
 # check, vet, build, the full test suite under the race detector (mandatory
 # now that the parallelx worker pools and the Resolve memoization cache share
-# state across goroutines), the benchmark smokes, and the command smokes.
+# state across goroutines), the benchmark module's vet and tests, the
+# benchmark smokes, and the command smokes.
 #
 # The gate is split so CI can fan the slow halves out as parallel jobs
 # (.github/workflows/ci.yml) while one `make ci` still runs everything
 # locally:
 #
-#   ci-quick   fmt-check + vet + build + test — the fast inner loop
+#   ci-quick   fmt-check + vet + build + test + perfbench-check — the fast
+#              inner loop
 #   race       the full suite under the race detector
 #   ci-bench   the benchmark smokes (core, SLAM, fault, batch, workloads,
 #              roofline)
@@ -20,7 +22,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet vet-failpoint test test-failpoint race fmt-check vuln bench-smoke bench-slam bench-fault bench-batch bench-workloads bench-json bench-roofline bench-guard smoke-cmds ci-quick ci-bench ci-smoke ci
+.PHONY: all build vet vet-failpoint test test-failpoint perfbench-check race fmt-check vuln bench-smoke bench-slam bench-fault bench-batch bench-workloads bench-json bench-roofline bench-guard smoke-cmds ci-quick ci-bench ci-smoke ci
 
 all: build
 
@@ -53,6 +55,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark harness is its own module, so `./...` above skips it: vet
+# and test it here, so a fleet/scenario API change that breaks the
+# benchmark fails CI rather than the next benchmark run.
+perfbench-check:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 # Quick benchmark smoke: exercises the pool-variant benchmarks without the
 # slow full-suite runs (SLAM/figure regeneration benchmarks stay opt-in).
@@ -137,10 +145,10 @@ smoke-cmds:
 test-failpoint:
 	$(GO) test -tags failpoint -run 'TestCrash' ./fleet/
 
-ci-quick: fmt-check vet vet-failpoint build test
+ci-quick: fmt-check vet vet-failpoint build test perfbench-check
 
 ci-bench: bench-smoke bench-slam bench-fault bench-batch bench-workloads bench-roofline bench-guard
 
 ci-smoke: test-failpoint smoke-cmds
 
-ci: fmt-check vet vet-failpoint build race ci-bench ci-smoke
+ci: fmt-check vet vet-failpoint build race perfbench-check ci-bench ci-smoke

@@ -22,9 +22,9 @@ type resolveEntry struct {
 	err error
 }
 
-// resolveShards spreads the cache across independently locked shards so
-// concurrent sweep workers do not serialize on one mutex.
-const resolveShards = 16
+// resolveShardCount is how many independently locked shards the cache
+// spreads across, so concurrent sweep workers do not serialize on one mutex.
+const resolveShardCount = 16
 
 // maxResolveEntriesPerShard bounds memory: a full shard is cleared before
 // inserting (wholesale eviction — the sweeps that refill it are exactly the
@@ -38,7 +38,7 @@ type resolveCacheShard struct {
 }
 
 type resolveCacheT struct {
-	shards [resolveShards]resolveCacheShard
+	shards [resolveShardCount]resolveCacheShard
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
@@ -56,7 +56,7 @@ func (c *resolveCacheT) shardFor(k resolveKey) *resolveCacheShard {
 	h = h*31 + math.Float64bits(k.Spec.SensorsG)
 	h = h*31 + uint64(k.Spec.Cells)
 	h ^= h >> 33
-	return &c.shards[h%resolveShards]
+	return &c.shards[h%resolveShardCount]
 }
 
 // ResolveCached is Resolve behind a process-wide concurrency-safe

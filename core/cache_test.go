@@ -102,7 +102,7 @@ func TestResolveCacheEviction(t *testing.T) {
 		}
 	}
 	_, _, entries := ResolveCacheStats()
-	if entries > resolveShards*8 {
+	if entries > resolveShardCount*8 {
 		t.Fatalf("cache grew past its bound: %d entries", entries)
 	}
 }

@@ -92,7 +92,7 @@ func advanceUntilCompleted(t *testing.T, srv *fleet.Server, n int) fleet.Stats {
 // a run that was never interrupted. Completed jobs are not re-flown: their
 // digests come straight off the journal.
 func TestCrashRecoveryBitIdentity(t *testing.T) {
-	cfg := fleet.Config{Shards: 2, MaxLanes: 4}
+	cfg := fleet.Config{MaxLanes: 4}
 	specs := coTenants(16, 900)
 	want := baselineDigests(t, cfg, specs)
 
@@ -142,7 +142,7 @@ func TestCrashRecoveryBitIdentity(t *testing.T) {
 // (served without re-running anything) still matches the uninterrupted
 // baseline.
 func TestRestartTwiceReplayIdempotency(t *testing.T) {
-	cfg := fleet.Config{Shards: 1, MaxLanes: 2}
+	cfg := fleet.Config{MaxLanes: 2}
 	specs := coTenants(8, 770)
 	want := baselineDigests(t, cfg, specs)
 	dir := t.TempDir()
@@ -194,7 +194,7 @@ func TestRestartTwiceReplayIdempotency(t *testing.T) {
 // TestSubmitDurableBeforeAck: jobs whose submission was acknowledged are
 // durable even if the process dies before the engine ever advances.
 func TestSubmitDurableBeforeAck(t *testing.T) {
-	cfg := fleet.Config{Shards: 1, MaxLanes: 4}
+	cfg := fleet.Config{MaxLanes: 4}
 	specs := coTenants(6, 410)
 	want := baselineDigests(t, cfg, specs)
 	dir := t.TempDir()
@@ -225,7 +225,7 @@ func TestSubmitDurableBeforeAck(t *testing.T) {
 // re-flies to the same digests. Torn-tail handling at every byte offset is
 // pinned in the journal package; this covers the fleet-level consequence.
 func TestTornTerminalRecordReadmitsJob(t *testing.T) {
-	cfg := fleet.Config{Shards: 1, MaxLanes: 2}
+	cfg := fleet.Config{MaxLanes: 2}
 	specs := coTenants(2, 640)
 	want := baselineDigests(t, cfg, specs)
 	dir := t.TempDir()
@@ -295,7 +295,7 @@ func TestReplayToleratesDupAndOrphanTerminals(t *testing.T) {
 	}
 	jl.Close()
 
-	srv, rec, err := fleet.NewJournaled(fleet.Config{Shards: 1, MaxLanes: 2}, dir)
+	srv, rec, err := fleet.NewJournaled(fleet.Config{MaxLanes: 2}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestReplayToleratesDupAndOrphanTerminals(t *testing.T) {
 // mid-flight with ErrDeadline and journaled as CANCEL — terminal, so a
 // restart does not re-fly it — while co-tenants finish untouched.
 func TestDeadlineEvictsRunawayJob(t *testing.T) {
-	cfg := fleet.Config{Shards: 1, MaxLanes: 2}
+	cfg := fleet.Config{MaxLanes: 2}
 	dir := t.TempDir()
 	srv, _, err := fleet.NewJournaled(cfg, dir)
 	if err != nil {
@@ -358,7 +358,7 @@ func TestDeadlineEvictsRunawayJob(t *testing.T) {
 // TestAdmissionQueueBound: the queue refuses whole batches beyond MaxQueue
 // with ErrQueueFull, and the HTTP layer turns that into 429 + Retry-After.
 func TestAdmissionQueueBound(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 2, MaxQueue: 4})
+	srv := fleet.New(fleet.Config{MaxLanes: 2, MaxQueue: 4})
 	if _, err := srv.SubmitAll(coTenants(5, 100)); !errors.Is(err, fleet.ErrQueueFull) {
 		t.Fatalf("oversize batch: err=%v, want ErrQueueFull", err)
 	}
@@ -389,7 +389,7 @@ func TestAdmissionQueueBound(t *testing.T) {
 // TestHealthAndReadiness: /healthz is pure liveness; /readyz tracks the
 // engine loop, drain state and shutdown.
 func TestHealthAndReadiness(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 2})
+	srv := fleet.New(fleet.Config{MaxLanes: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -426,7 +426,7 @@ func TestHealthAndReadiness(t *testing.T) {
 // admissions, finishes in-flight lanes, loses nothing, and a restart
 // completes the queued remainder bit-identically.
 func TestDrainGracefulRequeuesJournaledJobs(t *testing.T) {
-	cfg := fleet.Config{Shards: 1, MaxLanes: 2}
+	cfg := fleet.Config{MaxLanes: 2}
 	specs := coTenants(10, 330)
 	want := baselineDigests(t, cfg, specs)
 	dir := t.TempDir()
@@ -479,7 +479,7 @@ func TestDrainGracefulRequeuesJournaledJobs(t *testing.T) {
 // fail with ErrDraining; a lane that cannot finish within the grace period
 // is abandoned but — journaled — not lost: the restart re-admits it.
 func TestDrainRefusesSubmitsAndAbandonsAtGrace(t *testing.T) {
-	cfg := fleet.Config{Shards: 1, MaxLanes: 2}
+	cfg := fleet.Config{MaxLanes: 2}
 	dir := t.TempDir()
 	srv, _, err := fleet.NewJournaled(cfg, dir)
 	if err != nil {
@@ -530,7 +530,7 @@ func TestDrainRefusesSubmitsAndAbandonsAtGrace(t *testing.T) {
 // client's jittered-backoff budget and the submission lands once the engine
 // frees queue space.
 func TestClientRetriesBackpressure(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 2, MaxQueue: 2})
+	srv := fleet.New(fleet.Config{MaxLanes: 2, MaxQueue: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Shutdown()

@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"fmt"
 	"testing"
 
 	"dronedse/fleet"
@@ -41,10 +42,10 @@ func drive(t *testing.T, srv *fleet.Server) {
 	t.Fatal("engine did not drain: jobs still live after 100000 advances")
 }
 
-// TestFleetMultiTenancyDeterminism is the ISSUE 7 acceptance property: the
-// same seeded job submitted alone and alongside ≥63 co-tenant jobs — across
-// parallelx pools 1/2/8, multiple shards, and a lane cap that forces
-// queueing, eviction and slot reuse — produces bit-identical trajectory,
+// TestFleetMultiTenancyDeterminism is the multi-tenancy acceptance property:
+// the same seeded job submitted alone and alongside ≥63 co-tenant jobs —
+// across parallelx pools 1/2/8 and a lane cap that forces queueing,
+// eviction and slot reuse — produces bit-identical trajectory,
 // flight-log and Equation-7 ledger digests, equal to a direct scenario.Run.
 func TestFleetMultiTenancyDeterminism(t *testing.T) {
 	ref := fleet.JobSpec{Seed: 7, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 2, WindMeanMS: 4, WindGustMS: 2}
@@ -60,7 +61,7 @@ func TestFleetMultiTenancyDeterminism(t *testing.T) {
 		parallelx.SetPoolSize(pool)
 
 		// Solo: the job is the server's only tenant.
-		solo := fleet.New(fleet.Config{Shards: 1, MaxLanes: 4})
+		solo := fleet.New(fleet.Config{MaxLanes: 4})
 		soloID, err := solo.Submit(ref)
 		if err != nil {
 			t.Fatal(err)
@@ -76,11 +77,11 @@ func TestFleetMultiTenancyDeterminism(t *testing.T) {
 		}
 
 		// Multi-tenant: the same job buried mid-queue among 63 co-tenants,
-		// on 3 shards with only 16 lanes — admission order, queue churn and
-		// slot reuse all in play.
+		// on only 16 lanes — admission order, queue churn and slot reuse
+		// all in play.
 		specs := coTenants(63, 100)
 		specs = append(specs[:17], append([]fleet.JobSpec{ref}, specs[17:]...)...)
-		multi := fleet.New(fleet.Config{Shards: 3, MaxLanes: 16})
+		multi := fleet.New(fleet.Config{MaxLanes: 16})
 		ids, err := multi.SubmitAll(specs)
 		if err != nil {
 			t.Fatal(err)
@@ -122,29 +123,54 @@ func TestFleetMultiTenancyDeterminism(t *testing.T) {
 	}
 }
 
-// TestFleetResultMatchesScenarioRun pins the structured-Result contract:
-// job completion hands back the same Result a direct scenario.Run returns.
-func TestFleetResultMatchesScenarioRun(t *testing.T) {
+// TestFleetStatusMatchesScenarioRun pins the status contract: a finished
+// job's digests and summary equal a direct scenario.Run's, and a journaled
+// server restarted over the job serves byte-identical status.
+func TestFleetStatusMatchesScenarioRun(t *testing.T) {
 	spec := fleet.JobSpec{Seed: 3, MaxSeconds: 25}
 	direct, err := scenario.Run(spec.Scenario())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	srv := fleet.New(fleet.Config{Shards: 2, MaxLanes: 8})
+	dir := t.TempDir()
+	srv, _, err := fleet.NewJournaled(fleet.Config{MaxLanes: 8}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	id, err := srv.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	drive(t, srv)
-	res, err := srv.Result(id)
+	st, ok := srv.Job(id)
+	if !ok || st.Digests == nil {
+		t.Fatalf("job missing digests: %+v", st)
+	}
+	if *st.Digests != fleet.DigestResult(direct) {
+		t.Fatal("fleet digests diverged from scenario.Run")
+	}
+	want := fleet.JobSummary{
+		FlightTimeS:          direct.FlightTimeS,
+		EnergyWh:             direct.EnergyWh,
+		ComputeWh:            direct.ComputeWh,
+		ComputeFlightCostMin: direct.ComputeFlightCostMin(),
+		Completed:            direct.Completed,
+		FinalMode:            direct.FinalMode.String(),
+	}
+	if st.JobSummary != want {
+		t.Fatalf("fleet summary %+v diverged from scenario.Run's %+v", st.JobSummary, want)
+	}
+
+	path := fmt.Sprintf("/jobs/%d", id)
+	live := getBody(t, srv, path)
+	srv.Shutdown()
+	restarted, _, err := fleet.NewJournaled(fleet.Config{MaxLanes: 8}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fleet.DigestResult(res) != fleet.DigestResult(direct) {
-		t.Fatal("fleet Result diverged from scenario.Run")
-	}
-	if res.Completed != direct.Completed || res.FlightTimeS != direct.FlightTimeS {
-		t.Fatal("fleet Result summary fields diverged")
+	defer restarted.Shutdown()
+	if got := getBody(t, restarted, path); got != live {
+		t.Fatalf("GET %s after restart:\n got %s\nwant %s", path, got, live)
 	}
 }

@@ -1,19 +1,20 @@
 // Package fleet turns the scenario engine into a long-running multi-tenant
 // simulation service: jobs — JSON-serializable flight experiments derived
-// from scenario.Spec — are admitted into lanes of one or more scenario.Batch
-// shards stepped by a single engine goroutine, and each flight's live
-// MAVLink telemetry fans out to subscribed ground-station clients through
-// bounded drop-oldest queues (groundstation.Hub), so a laggard subscriber
-// can never stall the tick loop.
+// from scenario.Spec — are admitted into lanes of one scenario.Batch stepped
+// by a single engine goroutine, and each flight's live MAVLink telemetry
+// fans out to subscribed ground-station clients through bounded drop-oldest
+// queues (groundstation.Hub), so a laggard subscriber can never stall the
+// tick loop.
 //
 // Determinism contract, inherited from the batch engine and preserved under
 // multi-tenancy: a job's seed fully determines its flight. The same JobSpec
 // produces bit-identical trajectory, flight-log and Equation-7 ledger
 // digests whether it runs alone or beside thousands of co-tenants, at any
-// parallelx pool size, in any admission order, in any shard — because every
+// parallelx pool size, in any admission order, in any lane — because every
 // lane owns its RNG streams, scratch and ledgers outright, and lanes never
-// exchange data. Job completion yields the same structured scenario.Result
-// a direct scenario.Run would have returned.
+// exchange data. Job completion yields the digests and Equation-7 summary
+// of the Result a direct scenario.Run would have returned; the Result
+// itself is dropped, so a finished job holds what its journal record holds.
 package fleet
 
 import (
@@ -54,9 +55,6 @@ func (s JobState) String() string {
 		return "failed"
 	}
 }
-
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool { return s == JobDone || s == JobFailed }
 
 // JobSpec is the wire form of a flight experiment: the JSON-serializable
 // subset of scenario.Spec a remote tenant may submit (no host callbacks, no
@@ -226,14 +224,9 @@ type JobStatus struct {
 	Spec  JobSpec `json:"spec"`
 
 	// Terminal-state summary (zero until Done/Failed).
-	FlightTimeS          float64  `json:"flight_time_s,omitempty"`
-	EnergyWh             float64  `json:"energy_wh,omitempty"`
-	ComputeWh            float64  `json:"compute_wh,omitempty"`
-	ComputeFlightCostMin float64  `json:"compute_flight_cost_min,omitempty"`
-	Completed            bool     `json:"completed,omitempty"`
-	FinalMode            string   `json:"final_mode,omitempty"`
-	Digests              *Digests `json:"digests,omitempty"`
-	Error                string   `json:"error,omitempty"`
+	JobSummary
+	Digests *Digests `json:"digests,omitempty"`
+	Error   string   `json:"error,omitempty"`
 
 	// SimTimeS is the running job's current simulated time — live progress
 	// for in-flight jobs, zero once terminal (FlightTimeS takes over).
@@ -248,7 +241,6 @@ type Stats struct {
 	PeakLive  int `json:"peak_live"`
 	Completed int `json:"completed"`
 	Failed    int `json:"failed"`
-	Shards    int `json:"shards"`
 
 	// Draining reports a graceful shutdown in progress: submissions are
 	// refused while in-flight jobs finish.

@@ -35,22 +35,13 @@ var (
 
 // Config sizes a Server. The zero value is a usable single-box default.
 type Config struct {
-	// Shards is the number of scenario.Batch instances active flights are
-	// spread across (default 2). Admission balances onto the least-loaded
-	// shard; per-lane results are shard-invariant.
-	Shards int
-	// MaxLanes caps concurrently flying lanes across all shards (default
-	// 1024). Jobs beyond the cap queue FIFO and are admitted as eviction
-	// frees slots.
+	// MaxLanes caps concurrently flying lanes (default 1024). Jobs beyond
+	// the cap queue FIFO and are admitted as eviction frees slots.
 	MaxLanes int
 	// MaxQueue bounds the admission queue (jobs accepted but not yet
 	// launched; default 4096). Submissions beyond it fail with ErrQueueFull
 	// — HTTP 429 + Retry-After — instead of growing memory without bound.
 	MaxQueue int
-	// TickStride is how many physics steps each engine advance moves every
-	// live lane (default 250 — one 4 Hz telemetry unit per lane per
-	// advance at the default cadence).
-	TickStride int
 	// SubQueue is the per-subscriber telemetry queue depth in units
 	// (default groundstation.DefaultSubQueue). Laggards shed oldest.
 	SubQueue int
@@ -58,30 +49,26 @@ type Config struct {
 	// (0 = unlimited). A job that blows it is evicted mid-flight with
 	// ErrDeadline. JobSpec.DeadlineS overrides it per job.
 	JobDeadline time.Duration
-	// DropArtifacts frees each finished job's log, trace and trajectory
-	// after digesting, keeping only the summary and digests — the 10k+
-	// lane benchmark configuration. Result-returning APIs then serve a
-	// summary-only Result.
-	DropArtifacts bool
 }
 
+// runStride is how many physics steps each of Run's engine advances moves
+// every live lane: one 4 Hz telemetry unit per lane per advance at the
+// default cadence.
+const runStride = 250
+
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 2
-	}
 	if c.MaxLanes <= 0 {
 		c.MaxLanes = 1024
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4096
 	}
-	if c.TickStride <= 0 {
-		c.TickStride = 250
-	}
 	return c
 }
 
-// job is the server-side record of one submitted flight.
+// job is the server-side record of one submitted flight. A terminal job
+// keeps exactly what its journal record keeps — digests, summary and error —
+// whether it finished in this process or was replayed from the journal.
 type job struct {
 	id   uint64
 	spec JobSpec
@@ -93,18 +80,10 @@ type job struct {
 
 	// Mutable under Server.mu.
 	state    JobState
-	res      *scenario.Result
 	err      error
 	dig      *Digests
 	sum      *JobSummary
 	simTimeS float64 // live progress, mirrored out of the engine each advance
-}
-
-// shard is one scenario.Batch plus the lane→job table. Owned exclusively by
-// the engine goroutine (the Advance caller); never touched under Server.mu.
-type shard struct {
-	batch *scenario.Batch
-	jobs  map[int]*job // occupied lane index → job
 }
 
 // Server hosts concurrent simulation jobs. Exactly one goroutine may drive
@@ -123,15 +102,17 @@ type Server struct {
 	closed   bool
 	draining bool
 
-	// Engine-owned (no mu): only the Advance caller touches the shards.
-	shards []*shard
+	// Engine-owned (no mu): only the Advance caller touches the batch and
+	// its lane table (lane index → the job flying it; nil = free).
+	batch *scenario.Batch
+	lanes []*job
 
 	// Step counters, read by Stats while the engine advances.
 	ticks     atomic.Uint64
 	laneSteps atomic.Uint64
 
 	// Counter fields under mu. live is the occupied-lane count mirrored
-	// out of the engine-owned shard tables so Stats never reads those.
+	// out of the engine-owned lane table so Stats never reads it.
 	completed, failed, peakLive, live int
 
 	// subWG tracks telemetry stream handlers so Shutdown can wait, bounded,
@@ -150,22 +131,15 @@ type Server struct {
 // New builds an idle server; drive it with Run (or Advance) and serve its
 // Handler.
 func New(cfg Config) *Server {
-	cfg = cfg.withDefaults()
-	s := &Server{
-		cfg:         cfg,
+	return &Server{
+		cfg:         cfg.withDefaults(),
 		jobs:        make(map[uint64]*job),
+		batch:       scenario.NewBatchOf(),
 		wake:        make(chan struct{}, 1),
 		quit:        make(chan struct{}),
 		engineDone:  make(chan struct{}),
 		reqShutdown: make(chan struct{}),
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, &shard{
-			batch: scenario.NewBatchOf(),
-			jobs:  make(map[int]*job),
-		})
-	}
-	return s
 }
 
 // NewJournaled builds a server whose accepted jobs survive crashes: the
@@ -317,11 +291,11 @@ func (s *Server) wakeEngine() {
 }
 
 // admitLocked drains the queue into free lanes: build the stack, install
-// the telemetry hub as the Spec's sink, and admit onto the least-loaded
-// shard. A Build failure fails the job without consuming a lane. Called
-// only from the engine goroutine (holding mu), so the shard tables are
-// safe to touch. During a drain (or after shutdown) nothing launches:
-// queued jobs stay journaled for the next start.
+// the telemetry hub as the Spec's sink, and admit it onto the batch. A
+// Build failure fails the job without consuming a lane. Called only from
+// the engine goroutine (holding mu), so the lane table is safe to touch.
+// During a drain (or after shutdown) nothing launches: queued jobs stay
+// journaled for the next start.
 func (s *Server) admitLocked() {
 	for len(s.queue) > 0 && s.live < s.cfg.MaxLanes && !s.draining && !s.closed {
 		j := s.queue[0]
@@ -334,23 +308,19 @@ func (s *Server) admitLocked() {
 			s.failLocked(j, err)
 			continue
 		}
-		sh := s.shards[0]
-		for _, cand := range s.shards[1:] {
-			if len(cand.jobs) < len(sh.jobs) {
-				sh = cand
-			}
+		lane := s.batch.Admit(st)
+		if lane == len(s.lanes) { // Admit grew the batch rather than reusing a slot
+			s.lanes = append(s.lanes, nil)
 		}
-		lane := sh.batch.Admit(st)
-		if sh.batch.LaneDone(lane) { // Start failed on a running batch
-			res, lerr := sh.batch.Evict(lane)
-			_ = res
+		if s.batch.LaneDone(lane) { // Start failed on a running batch
+			_, lerr := s.batch.Evict(lane)
 			s.failLocked(j, lerr)
 			continue
 		}
 		if ddl := j.deadlineBudget(s.cfg.JobDeadline); ddl > 0 {
 			j.deadline = time.Now().Add(ddl)
 		}
-		sh.jobs[lane] = j
+		s.lanes[lane] = j
 		j.state = JobRunning
 		s.live++
 	}
@@ -381,7 +351,8 @@ func (s *Server) failLocked(j *job, err error) {
 	j.hub.Close()
 }
 
-// finalize records a lane's outcome on its job and closes the telemetry
+// finalize records a lane's outcome on its job — digests and summary taken
+// from the evicted Result, which is then dropped — and closes the telemetry
 // stream (subscribers drain what is queued, then see EOF). With a journal,
 // the terminal record is fsync'd before the outcome becomes visible: a
 // crash before the fsync re-runs the job on restart (deterministically
@@ -402,9 +373,6 @@ func (s *Server) finalize(j *job, res *scenario.Result, err error) {
 			Completed:            res.Completed,
 			FinalMode:            res.FinalMode.String(),
 		}
-		if s.cfg.DropArtifacts {
-			res.Log, res.Trace, res.Trajectory = nil, nil, nil
-		}
 	}
 	if s.jl != nil {
 		// A journal write failure here does not block the in-memory outcome
@@ -418,7 +386,7 @@ func (s *Server) finalize(j *job, res *scenario.Result, err error) {
 	}
 	failpoint("fleet/done-journaled")
 	s.mu.Lock()
-	j.res, j.err, j.dig, j.sum = res, err, dig, sum
+	j.err, j.dig, j.sum = err, dig, sum
 	s.live--
 	if err != nil {
 		j.state = JobFailed
@@ -442,31 +410,33 @@ func (s *Server) Advance(k int) bool {
 	s.admitLocked()
 	s.mu.Unlock()
 
-	busy := false
-	now := time.Now()
-	for _, sh := range s.shards {
-		if len(sh.jobs) == 0 {
-			continue
-		}
-		busy = true
-		s.laneSteps.Add(uint64(sh.batch.Live()) * uint64(k))
-		sh.batch.TickN(k)
-		for lane, j := range sh.jobs {
-			if !sh.batch.LaneDone(lane) {
+	busy := s.batch.Live() > 0
+	if busy {
+		steps := s.batch.Steps()
+		s.batch.TickN(k)
+		s.laneSteps.Add(s.batch.Steps() - steps)
+		now := time.Now()
+		for lane, j := range s.lanes {
+			if j == nil {
+				continue
+			}
+			if !s.batch.LaneDone(lane) {
 				if j.deadline.IsZero() || now.Before(j.deadline) {
 					continue
 				}
-				sh.batch.Abort(lane, fmt.Errorf("%w (%.0fs wall-clock)",
+				s.batch.Abort(lane, fmt.Errorf("%w (%.0fs wall-clock)",
 					ErrDeadline, now.Sub(j.deadline.Add(-j.deadlineBudget(s.cfg.JobDeadline))).Seconds()))
 			}
-			res, err := sh.batch.Evict(lane)
-			delete(sh.jobs, lane)
+			res, err := s.batch.Evict(lane)
+			s.lanes[lane] = nil
 			s.finalize(j, res, err)
 		}
-		if len(sh.jobs) > 0 { // mirror live progress into the status API
+		if s.batch.Live() > 0 { // mirror live progress into the status API
 			s.mu.Lock()
-			for lane, j := range sh.jobs {
-				j.simTimeS = sh.batch.LaneSimTimeS(lane)
+			for lane, j := range s.lanes {
+				if j != nil {
+					j.simTimeS = s.batch.LaneSimTimeS(lane)
+				}
 			}
 			s.mu.Unlock()
 		}
@@ -496,7 +466,7 @@ func (s *Server) Run() {
 			return
 		default:
 		}
-		if !s.Advance(s.cfg.TickStride) {
+		if !s.Advance(runStride) {
 			select {
 			case <-s.quit:
 				return
@@ -653,33 +623,18 @@ func (s *Server) ShutdownRequested() <-chan struct{} { return s.reqShutdown }
 
 func (s *Server) requestShutdown() { s.reqOnce.Do(func() { close(s.reqShutdown) }) }
 
-// statusLocked renders a job's API view. Terminal jobs recovered from the
-// journal have no Result; their summary comes from the DONE record.
+// statusLocked renders a job's API view.
 func (s *Server) statusLocked(j *job) JobStatus {
-	st := JobStatus{ID: j.id, State: j.state.String(), Spec: j.spec}
+	st := JobStatus{ID: j.id, State: j.state.String(), Spec: j.spec, Digests: j.dig}
+	if j.sum != nil {
+		st.JobSummary = *j.sum
+	}
 	if j.err != nil {
 		st.Error = j.err.Error()
-	}
-	switch {
-	case j.res != nil:
-		st.FlightTimeS = j.res.FlightTimeS
-		st.EnergyWh = j.res.EnergyWh
-		st.ComputeWh = j.res.ComputeWh
-		st.ComputeFlightCostMin = j.res.ComputeFlightCostMin()
-		st.Completed = j.res.Completed
-		st.FinalMode = j.res.FinalMode.String()
-	case j.sum != nil:
-		st.FlightTimeS = j.sum.FlightTimeS
-		st.EnergyWh = j.sum.EnergyWh
-		st.ComputeWh = j.sum.ComputeWh
-		st.ComputeFlightCostMin = j.sum.ComputeFlightCostMin
-		st.Completed = j.sum.Completed
-		st.FinalMode = j.sum.FinalMode
 	}
 	if j.state == JobRunning {
 		st.SimTimeS = j.simTimeS
 	}
-	st.Digests = j.dig
 	return st
 }
 
@@ -705,24 +660,6 @@ func (s *Server) Jobs() []JobStatus {
 	return out
 }
 
-// Result returns a finished job's structured outcome — the same Result a
-// direct scenario.Run would have produced (summary-only when the server
-// runs with DropArtifacts; nil for a completed job recovered from the
-// journal, whose digests and summary survive but whose artifacts were never
-// rebuilt).
-func (s *Server) Result(id uint64) (*scenario.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, errors.New("fleet: unknown job")
-	}
-	if !j.state.Terminal() {
-		return nil, errors.New("fleet: job still in flight")
-	}
-	return j.res, j.err
-}
-
 // Stats snapshots the server's counters.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
@@ -734,7 +671,6 @@ func (s *Server) Stats() Stats {
 		PeakLive:  s.peakLive,
 		Completed: s.completed,
 		Failed:    s.failed,
-		Shards:    len(s.shards),
 		Draining:  s.draining,
 		Ticks:     s.ticks.Load(),
 		LaneSteps: s.laneSteps.Load(),

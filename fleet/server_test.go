@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"io"
+	"math"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -71,7 +72,7 @@ func parseStream(t *testing.T, data []byte) []mavlink.Frame {
 // stalled subscriber on a co-tenant job sheds frames, and every job still
 // completes (the tick loop never waits on a socket).
 func TestTelemetryStreamAndStall(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 2, MaxLanes: 32, SubQueue: 4})
+	srv := fleet.New(fleet.Config{MaxLanes: 32, SubQueue: 4})
 	c := startHTTP(t, srv)
 
 	specs := coTenants(8, 300)
@@ -130,7 +131,7 @@ func TestTelemetryStreamAndStall(t *testing.T) {
 // heartbeat timestamps across the gap (no duplicated or interleaved
 // frames), mirroring the hub-level contract over HTTP.
 func TestStreamReconnectResubscribe(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 4, SubQueue: 4096})
+	srv := fleet.New(fleet.Config{MaxLanes: 4, SubQueue: 4096})
 	c := startHTTP(t, srv)
 	id, err := srv.Submit(fleet.JobSpec{Seed: 9, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 30, TelemetryEverySteps: 100})
 	if err != nil {
@@ -205,7 +206,7 @@ func TestStreamReconnectResubscribe(t *testing.T) {
 // TestHTTPAPI exercises the JSON front end end to end: submit, poll, fetch
 // status + digests, stats, 404s, and the shutdown request channel.
 func TestHTTPAPI(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 2, MaxLanes: 8})
+	srv := fleet.New(fleet.Config{MaxLanes: 8})
 	go srv.Run()
 	defer srv.Shutdown()
 	hs := httptest.NewServer(srv.Handler())
@@ -255,7 +256,7 @@ func TestHTTPAPI(t *testing.T) {
 // TestQueueAdmissionEviction pins capacity behaviour: far more jobs than
 // lanes, all complete, and the lane cap is never exceeded.
 func TestQueueAdmissionEviction(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 2, MaxLanes: 4})
+	srv := fleet.New(fleet.Config{MaxLanes: 4})
 	specs := coTenants(12, 500)
 	if _, err := srv.SubmitAll(specs); err != nil {
 		t.Fatal(err)
@@ -285,7 +286,7 @@ func TestSubmitAfterShutdown(t *testing.T) {
 // TestBuildFailureFailsJobOnly: a job whose flight can't build fails with
 // its error recorded while co-tenants complete untouched.
 func TestBuildFailureFailsJobOnly(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 4})
+	srv := fleet.New(fleet.Config{MaxLanes: 4})
 	ids, err := srv.SubmitAll([]fleet.JobSpec{
 		{Seed: 1, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 2},
 		{Seed: 2, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 2, BatteryCells: 13}, // valid wire form; the pack takes 1-12 cells
@@ -313,7 +314,7 @@ func TestBuildFailureFailsJobOnly(t *testing.T) {
 // unit the engine ever published — nothing torn, nothing shed, nothing
 // published into a closed hub.
 func TestShutdownWithActiveSubscriberCleanEOF(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 2, SubQueue: 8192, TickStride: 250})
+	srv := fleet.New(fleet.Config{MaxLanes: 2, SubQueue: 8192})
 	c := startHTTP(t, srv)
 
 	// A flight long enough to still be airborne at shutdown, publishing at
@@ -375,7 +376,7 @@ func TestShutdownWithActiveSubscriberCleanEOF(t *testing.T) {
 // request mid-stream.
 func TestTelemetryOutlastsWriteTimeout(t *testing.T) {
 	const timeout = 100 * time.Millisecond
-	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 1, SubQueue: 4096})
+	srv := fleet.New(fleet.Config{MaxLanes: 1, SubQueue: 4096})
 	hs := httptest.NewUnstartedServer(srv.Handler())
 	hs.Config.ReadTimeout = timeout
 	hs.Config.WriteTimeout = timeout
@@ -426,15 +427,44 @@ func TestTelemetryOutlastsWriteTimeout(t *testing.T) {
 	}
 }
 
-// TestLaneStepsFirstAdvance: a shard's first advance counts its lanes'
+// TestLaneStepsFirstAdvance: the engine's first advance counts its lanes'
 // steps, though the batch only starts inside that advance.
 func TestLaneStepsFirstAdvance(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 4})
+	srv := fleet.New(fleet.Config{MaxLanes: 4})
 	if _, err := srv.SubmitAll(coTenants(3, 900)); err != nil {
 		t.Fatal(err)
 	}
 	srv.Advance(100)
 	if got := srv.Stats().LaneSteps; got != 300 {
 		t.Fatalf("lane steps after one 100-step advance of 3 lanes = %d, want 300", got)
+	}
+}
+
+// TestLaneStepsCountsFlownSteps: a lane finishing partway through an advance
+// is charged only the steps it flew, so LaneSteps is exactly the jobs' total
+// flight time in physics steps (an advance-granular count would say 28,000).
+func TestLaneStepsCountsFlownSteps(t *testing.T) {
+	srv := fleet.New(fleet.Config{MaxLanes: 4})
+	hover := &mission.WireSpec{KindName: "hover"}
+	ids, err := srv.SubmitAll([]fleet.JobSpec{
+		{Seed: 1, Workload: hover, MaxSeconds: 2},
+		{Seed: 2, Workload: hover, MaxSeconds: 3},
+		{Seed: 3, Workload: hover, MaxSeconds: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for srv.Advance(250) {
+	}
+	var flown uint64
+	for _, id := range ids {
+		st, _ := srv.Job(id)
+		if st.State != "done" {
+			t.Fatalf("job %d: %+v", id, st)
+		}
+		flown += uint64(math.Round(st.FlightTimeS * 1000))
+	}
+	if got := srv.Stats().LaneSteps; got != flown || got != 27703 {
+		t.Fatalf("lane steps = %d, jobs flew %d (want 27703)", got, flown)
 	}
 }

@@ -57,7 +57,7 @@ func TestJobSpecValidate(t *testing.T) {
 		"bad workload":         {Seed: 1, Workload: &mission.WireSpec{KindName: "teleport"}},
 		"empty delivery":       {Seed: 1, Workload: &mission.WireSpec{KindName: "delivery", Delivery: &mission.Delivery{}}},
 	}
-	srv, _, err := fleet.NewJournaled(fleet.Config{Shards: 1, MaxLanes: 2}, t.TempDir())
+	srv, _, err := fleet.NewJournaled(fleet.Config{MaxLanes: 2}, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestJobSpecValidate(t *testing.T) {
 // TestStrictWireDecode: an unknown field — a stale client's retired hover
 // flag, or a typo — is a 400 at the front door, and nothing is journaled.
 func TestStrictWireDecode(t *testing.T) {
-	srv, _, err := fleet.NewJournaled(fleet.Config{Shards: 1, MaxLanes: 2}, t.TempDir())
+	srv, _, err := fleet.NewJournaled(fleet.Config{MaxLanes: 2}, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestReplayFailsInvalidSubmit(t *testing.T) {
 	writeJournal(t, dir,
 		`{"id":1,"spec":{"seed":1,"max_seconds":1e9}}`,
 		`{"id":2,"spec":{"seed":2,"max_seconds":2,"workload":{"kind":"hover"}}}`)
-	cfg := fleet.Config{Shards: 1, MaxLanes: 2}
+	cfg := fleet.Config{MaxLanes: 2}
 
 	srv, rec, err := fleet.NewJournaled(cfg, dir)
 	if err != nil {
@@ -185,7 +185,7 @@ func TestJournalHoverMigration(t *testing.T) {
 	dir := t.TempDir()
 	writeJournal(t, dir,
 		`{"id":1,"spec":{"seed":7,"hover":true,"max_seconds":2,"wind_mean_ms":4,"wind_gust_ms":2}}`)
-	srv, rec, err := fleet.NewJournaled(fleet.Config{Shards: 1, MaxLanes: 2}, dir)
+	srv, rec, err := fleet.NewJournaled(fleet.Config{MaxLanes: 2}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,16 +75,16 @@ type cancelRec struct {
 	Reason string `json:"reason"`
 }
 
-// JobSummary is the terminal-state summary a DONE record carries, so a
-// completed job recovered from the journal still serves meaningful status
-// without its (discarded) artifacts.
+// JobSummary is a finished flight's Equation-7 summary: what a DONE record
+// carries and what a job's status serves, live or replayed. Zero fields are
+// omitted; DONE records written with them explicit replay the same.
 type JobSummary struct {
-	FlightTimeS          float64 `json:"flight_time_s"`
-	EnergyWh             float64 `json:"energy_wh"`
-	ComputeWh            float64 `json:"compute_wh"`
-	ComputeFlightCostMin float64 `json:"compute_flight_cost_min"`
-	Completed            bool    `json:"completed"`
-	FinalMode            string  `json:"final_mode"`
+	FlightTimeS          float64 `json:"flight_time_s,omitempty"`
+	EnergyWh             float64 `json:"energy_wh,omitempty"`
+	ComputeWh            float64 `json:"compute_wh,omitempty"`
+	ComputeFlightCostMin float64 `json:"compute_flight_cost_min,omitempty"`
+	Completed            bool    `json:"completed,omitempty"`
+	FinalMode            string  `json:"final_mode,omitempty"`
 }
 
 // RecoveredJob is one job's state reconstructed from the journal, in

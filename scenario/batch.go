@@ -14,12 +14,12 @@ import (
 // regardless of which chunk it lands in.
 const BatchChunkLanes = 8
 
-// batchTickStride is how many physics steps Run advances each live lane per
+// batchRunStride is how many physics steps Run advances each live lane per
 // parallel dispatch. Lanes are mutually independent, so interleaving
 // granularity cannot change any lane's arithmetic; a coarse stride simply
 // amortizes the per-dispatch goroutine fan-out (one simulated second per
 // dispatch) while still bounding how far lanes drift apart.
-const batchTickStride = 1000
+const batchRunStride = 1000
 
 // Batch steps N flights on one engine. Construction is struct-of-arrays at
 // lane granularity: the batch owns flat per-lane slices (stacks, done flags,
@@ -32,6 +32,11 @@ type Batch struct {
 	done  []bool
 	errs  []error
 	freed []int // evicted lane slots available for Admit reuse
+
+	// chunkSteps holds each chunk's step count for the dispatch in
+	// progress; steps is the running total over every TickN.
+	chunkSteps []int
+	steps      uint64
 
 	started bool
 	live    int
@@ -82,6 +87,11 @@ func (b *Batch) Len() int { return len(b.lanes) }
 // the batch has started, so `for b.Live() > 0 { b.TickN(k) }` flies a fresh
 // batch to completion. Start drops lanes whose arming fails.
 func (b *Batch) Live() int { return b.live }
+
+// Steps returns the total physics steps the batch's lanes have taken, summed
+// over lanes: a lane finishing partway through a TickN counts only the steps
+// it actually flew.
+func (b *Batch) Steps() uint64 { return b.steps }
 
 // Lane exposes lane i's stack (nil when its Build failed or the lane was
 // evicted).
@@ -215,26 +225,35 @@ func (b *Batch) TickN(k int) (allDone bool) {
 	}
 	n := len(b.lanes)
 	if parallelx.PoolSize() <= 1 || n <= BatchChunkLanes {
-		b.tickRange(0, n, k)
+		b.steps += uint64(b.tickRange(0, n, k))
 	} else {
+		nc := (n + BatchChunkLanes - 1) / BatchChunkLanes
+		if len(b.chunkSteps) < nc {
+			b.chunkSteps = make([]int, nc)
+		}
 		parallelx.MapChunks(n, BatchChunkLanes, func(ci, lo, hi int) struct{} {
-			b.tickRange(lo, hi, k)
+			b.chunkSteps[ci] = b.tickRange(lo, hi, k)
 			return struct{}{}
 		})
+		for _, steps := range b.chunkSteps[:nc] {
+			b.steps += uint64(steps)
+		}
 	}
 	b.recount()
 	return b.live == 0
 }
 
-// tickRange steps lanes [lo, hi) by up to k ticks each. Chunks touch
-// disjoint lane index ranges, so concurrent calls are race-free.
-func (b *Batch) tickRange(lo, hi, k int) {
+// tickRange steps lanes [lo, hi) by up to k ticks each and returns the
+// steps taken. Chunks touch disjoint lane index ranges, so concurrent calls
+// are race-free.
+func (b *Batch) tickRange(lo, hi, k int) (steps int) {
 	for i := lo; i < hi; i++ {
 		if b.done[i] {
 			continue
 		}
 		st := b.lanes[i]
 		for j := 0; j < k; j++ {
+			steps++
 			done, err := st.Tick()
 			if done {
 				b.done[i], b.errs[i] = true, err
@@ -242,6 +261,7 @@ func (b *Batch) tickRange(lo, hi, k int) {
 			}
 		}
 	}
+	return steps
 }
 
 func (b *Batch) recount() {
@@ -257,7 +277,7 @@ func (b *Batch) recount() {
 // Run drives the batch to completion and returns the per-lane outcomes in
 // lane order. A lane's Result is nil exactly when its error is non-nil.
 func (b *Batch) Run() ([]*Result, []error) {
-	for !b.TickN(batchTickStride) {
+	for !b.TickN(batchRunStride) {
 	}
 	return b.Outcomes()
 }

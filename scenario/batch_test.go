@@ -164,6 +164,36 @@ func TestBatchLiveLoop(t *testing.T) {
 	}
 }
 
+// TestBatchStepsCountsFlownSteps: Steps charges each lane only the physics
+// steps it flew, on the serial and the chunked parallel path alike, though
+// lanes finish partway through a TickN.
+func TestBatchStepsCountsFlownSteps(t *testing.T) {
+	prev := parallelx.PoolSize()
+	defer parallelx.SetPoolSize(prev)
+	for _, pool := range []int{1, 2} {
+		parallelx.SetPoolSize(pool)
+		specs := make([]scenario.Spec, 2*scenario.BatchChunkLanes+3)
+		for i := range specs {
+			specs[i] = scenario.Spec{Seed: int64(60 + i), Workload: mission.Hover{}, MaxSeconds: float64(2 + i%3)}
+		}
+		b := scenario.NewBatch(specs)
+		for b.Live() > 0 {
+			b.TickN(250)
+		}
+		results, errs := b.Outcomes()
+		var flown uint64
+		for i, res := range results {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			flown += uint64(math.Round(res.FlightTimeS * 1000))
+		}
+		if b.Steps() != flown {
+			t.Fatalf("pool %d: Steps = %d, lanes flew %d", pool, b.Steps(), flown)
+		}
+	}
+}
+
 // TestBatchLaneErrorIsolation: a lane whose Build fails finishes with its
 // error recorded and must not poison its co-tenants' results.
 func TestBatchLaneErrorIsolation(t *testing.T) {

@@ -7,23 +7,15 @@
 #
 # Phase 2: attach a stalled telemetry subscriber (an HTTP stream that is
 # never read), submit FLEET_JOBS hover flights (default 1024), and require
-# the server to complete them all while sustaining at least
-# min(FLEET_JOBS, 1024) concurrent lanes — completing within the timeout is
-# the proof that a dead subscriber never stalls the tick loop.
+# the server to complete them all while sustaining FLEET_JOBS concurrent
+# lanes — completing within the timeout is the proof that a dead subscriber
+# never stalls the tick loop.
 #
-# Opt-in scale: FLEET_JOBS=10240 FLEET_LITE=1 sh scripts/fleet_smoke.sh
-# (FLEET_LITE starts fleetd with -lite -lanes 10240 so per-flight artifacts
-# are dropped after digesting).
+# Opt-in scale: FLEET_JOBS=10240 sh scripts/fleet_smoke.sh (fleetd runs
+# with -lanes FLEET_JOBS).
 set -eu
 
 JOBS=${FLEET_JOBS:-1024}
-LANES=1024
-LITEFLAGS=""
-if [ "${FLEET_LITE:-0}" != "0" ]; then
-    LANES=$JOBS
-    LITEFLAGS="-lite -lanes $JOBS"
-fi
-if [ "$JOBS" -lt "$LANES" ]; then MINPEAK=$JOBS; else MINPEAK=$LANES; fi
 
 WORK=$(mktemp -d)
 FLEETD_PID=""
@@ -39,7 +31,7 @@ go build -o "$WORK/fleetd" ./cmd/fleetd
 go build -o "$WORK/fleetctl" ./cmd/fleetctl
 
 "$WORK/fleetd" -http 127.0.0.1:0 -addrfile "$WORK/addr" \
-    $LITEFLAGS >"$WORK/fleetd.log" 2>&1 &
+    -lanes "$JOBS" >"$WORK/fleetd.log" 2>&1 &
 FLEETD_PID=$!
 
 i=0
@@ -60,13 +52,13 @@ $CTL run -workload hover -seconds 30 -every 100 -seed 42 -check >/dev/null
 $CTL submit -n 64 -workload hover -seconds 2 -vary 8 >/dev/null
 $CTL wait -verify -timeout 120s
 
-echo "fleet_smoke: phase 2 — $JOBS jobs with a stalled subscriber (min peak $MINPEAK)"
+echo "fleet_smoke: phase 2 — $JOBS jobs with a stalled subscriber (min peak $JOBS)"
 STALL_ID=$($CTL submit -workload hover -seconds 30 -seed 99)
 $CTL stream -id "$STALL_ID" -stall >/dev/null &
 STALL_PID=$!
 sleep 0.2
 $CTL submit -n "$JOBS" -workload hover -seconds 2 -vary 16 >/dev/null
-$CTL wait -verify -min-peak "$MINPEAK" -timeout 600s
+$CTL wait -verify -min-peak "$JOBS" -timeout 600s
 
 kill "$STALL_PID" 2>/dev/null || true
 STALL_PID=""
