@@ -1,8 +1,8 @@
 # Build/CI entry points. `make ci` is the gate every PR must pass: format
 # check, vet, build, the full test suite under the race detector (mandatory
-# now that the parallelx worker pools and the Resolve memoization cache share
-# state across goroutines), the benchmark module's vet and tests, the
-# benchmark smokes, and the command smokes.
+# now that the parallelx worker pools and the batch engine share state across
+# goroutines), the benchmark module's vet and tests, the benchmark and fuzz
+# smokes, and the command smokes.
 #
 # The gate is split so CI can fan the slow halves out as parallel jobs
 # (.github/workflows/ci.yml) while one `make ci` still runs everything
@@ -12,8 +12,8 @@
 #              inner loop
 #   race       the full suite under the race detector
 #   ci-bench   the benchmark smokes (core, SLAM, fault, batch, workloads,
-#              roofline)
-#              plus the BENCH_core.json ns/op regression guard
+#              roofline), the wire-contract fuzz smoke, plus the
+#              BENCH_core.json ns/op regression guard
 #   ci-smoke   the end-to-end command smokes, including the fleetd pipeline
 #              and the crash/recovery chaos harness (scripts/fleet_chaos.sh)
 #   vuln       govulncheck, when installed (CI installs it; locally it is
@@ -22,7 +22,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet vet-failpoint test test-failpoint perfbench-check race fmt-check vuln bench-smoke bench-slam bench-fault bench-batch bench-workloads bench-json bench-roofline bench-guard smoke-cmds ci-quick ci-bench ci-smoke ci
+.PHONY: all build vet vet-failpoint test test-failpoint perfbench-check race fmt-check vuln bench-smoke bench-slam bench-fault bench-batch bench-workloads bench-json bench-roofline bench-guard fuzz-smoke smoke-cmds ci-quick ci-bench ci-smoke ci
 
 all: build
 
@@ -119,6 +119,11 @@ bench-guard:
 	$(GO) run ./cmd/benchjson -quick -o /tmp/bench_guard_new.json
 	$(GO) run ./cmd/benchguard -new /tmp/bench_guard_new.json
 
+# Wire-contract fuzz smoke: 15 s of FuzzJobSpec (strict decode → Validate →
+# Build) beyond its seed corpus, which plain `go test` already runs.
+fuzz-smoke:
+	$(GO) test ./fleet/ -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 15s
+
 # End-to-end command smoke: build and briefly run every cmd binary and every
 # example, so a refactor that compiles but breaks a tool's wiring (all of
 # them now build their stacks through the scenario engine) fails CI, not the
@@ -147,7 +152,7 @@ test-failpoint:
 
 ci-quick: fmt-check vet vet-failpoint build test perfbench-check
 
-ci-bench: bench-smoke bench-slam bench-fault bench-batch bench-workloads bench-roofline bench-guard
+ci-bench: bench-smoke bench-slam bench-fault bench-batch bench-workloads bench-roofline fuzz-smoke bench-guard
 
 ci-smoke: test-failpoint smoke-cmds
 

@@ -200,19 +200,22 @@ func RunFigure16(seed int64) (Figure16, error) {
 	// SLAM-active compute phase, oscilloscope on the battery — as a batch
 	// of one on the scenario batch engine (bit-identical to scenario.Run by
 	// the lane-determinism contract).
+	scope := trace.NewOscilloscope(seed + 1)
 	results, errs := scenario.RunBatch([]scenario.Spec{{
-		Seed:      seed,
-		TraceSeed: seed + 1,
-		Compute:   scenario.Compute{SLAM: true}, // RPi w/ SLAM + Navio2
+		Seed:    seed,
+		Compute: scenario.Compute{SLAM: true}, // RPi w/ SLAM + Navio2
+		Observers: []autopilot.StepObserver{func(a *autopilot.Autopilot, dt float64) {
+			scope.Observe(a.Time(), a.TotalPowerW())
+		}},
 	}})
 	if errs[0] != nil {
 		return out, errs[0]
 	}
 	res := results[0]
 	out.FlightOK = res.FinalMode == autopilot.Disarmed
-	out.DroneTrace = res.Trace
-	out.DroneAvgW = res.Trace.MeanPower(2, res.FlightTimeS)
-	out.DronePeakW = res.Trace.PeakPower(2, res.FlightTimeS)
+	out.DroneTrace = scope
+	out.DroneAvgW = scope.MeanPower(2, res.FlightTimeS)
+	out.DronePeakW = scope.PeakPower(2, res.FlightTimeS)
 	return out, nil
 }
 

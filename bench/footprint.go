@@ -47,24 +47,24 @@ func RunFigure10(wheelbaseMM float64, p core.Params) Figure10 {
 			Compute: tier, ESCClass: components.LongFlight,
 		}
 	}
-	// Panels a-c use the 1S/3S/6S battery configurations like the legend.
-	// The six independent series (three panel sweeps, two share series,
-	// the best-config search) run concurrently; each writes its own field.
-	var sweep1, sweep3, sweep6 []core.SweepPoint
+	// One Basic-tier sweep per cell count feeds panels a-c (1S/3S/6S, like
+	// the legend), the 3 W share series (3S) and the best-configuration
+	// search; the Advanced-tier 3S sweep is the 20 W share series.
+	var basic [][]core.SweepPoint
 	parallelx.Do(
-		func() { sweep1 = core.SweepCapacity(mk(1, components.BasicComputeTier), p, 1000, 8000, 250) },
-		func() { sweep3 = core.SweepCapacity(mk(3, components.BasicComputeTier), p, 1000, 8000, 250) },
-		func() { sweep6 = core.SweepCapacity(mk(6, components.BasicComputeTier), p, 1000, 8000, 250) },
-		func() { out.Shares20W = core.SweepCapacity(mk(3, components.AdvancedComputeTier), p, 1000, 8000, 250) },
-		func() { out.Shares3W = core.SweepCapacity(mk(3, components.BasicComputeTier), p, 1000, 8000, 250) },
 		func() {
-			if best, ok := core.BestConfig(mk(3, components.BasicComputeTier), p, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 250); ok {
-				out.Best = best
-				out.BestFlight = best.HoverFlightTimeMin()
-			}
+			basic = parallelx.Map([]int{1, 2, 3, 4, 5, 6}, func(cells int) []core.SweepPoint {
+				return core.SweepCapacity(mk(cells, components.BasicComputeTier), p, 1000, 8000, 250)
+			})
 		},
+		func() { out.Shares20W = core.SweepCapacity(mk(3, components.AdvancedComputeTier), p, 1000, 8000, 250) },
 	)
-	out.Sweeps[1], out.Sweeps[3], out.Sweeps[6] = sweep1, sweep3, sweep6
+	out.Sweeps[1], out.Sweeps[3], out.Sweeps[6] = basic[0], basic[2], basic[5]
+	out.Shares3W = basic[2]
+	if best, ok := core.BestOf(basic); ok {
+		out.Best = best
+		out.BestFlight = best.HoverFlightTimeMin()
+	}
 	for _, cd := range components.CommercialDrones() {
 		if cd.WheelbaseClassMM == wheelbaseMM {
 			out.Validation = append(out.Validation, cd)

@@ -21,9 +21,9 @@ type CommercialDrone struct {
 	// WheelbaseClassMM maps the product onto the nearest studied
 	// wheelbase sweep (100/450/800 mm).
 	WheelbaseClassMM float64
-	// BaseComputeW is the estimated light-compute (video pipeline +
+	// LightComputeW is the estimated light-compute (video pipeline +
 	// control) electronics power.
-	BaseComputeW float64
+	LightComputeW float64
 	// HeavyComputeW is the estimated electronics power under heavy
 	// computation (SLAM-class workloads, recognition, HD recording);
 	// §5.1 measures ~+1.2-2 W for SLAM-class load on an RPi.
@@ -63,22 +63,22 @@ func (d CommercialDrone) BaseComputeSharePct() float64 {
 	if p <= 0 {
 		return 0
 	}
-	return 100 * d.BaseComputeW / p
+	return 100 * d.LightComputeW / p
 }
 
 // CommercialDrones returns the validation set used across Figures 10 and 11,
 // with published weights, battery energies, and rated flight times.
 func CommercialDrones() []CommercialDrone {
 	return []CommercialDrone{
-		{Name: "Parrot Mambo", TakeoffWeightG: 63, BatteryWh: 2.4, Cells: 1, RatedFlightMin: 8, WheelbaseClassMM: 100, BaseComputeW: 0.5, HeavyComputeW: 1.8},
-		{Name: "Parrot Anafi", TakeoffWeightG: 320, BatteryWh: 20.9, Cells: 2, RatedFlightMin: 25, WheelbaseClassMM: 100, BaseComputeW: 1.2, HeavyComputeW: 3.6},
-		{Name: "DJI Spark", TakeoffWeightG: 300, BatteryWh: 16.9, Cells: 3, RatedFlightMin: 16, WheelbaseClassMM: 100, BaseComputeW: 1.5, HeavyComputeW: 4.8},
-		{Name: "DJI Mavic Air", TakeoffWeightG: 430, BatteryWh: 27.4, Cells: 3, RatedFlightMin: 21, WheelbaseClassMM: 450, BaseComputeW: 2.0, HeavyComputeW: 6.5},
-		{Name: "Parrot Bebop 2", TakeoffWeightG: 500, BatteryWh: 30.0, Cells: 3, RatedFlightMin: 25, WheelbaseClassMM: 450, BaseComputeW: 1.8, HeavyComputeW: 5.5},
-		{Name: "SKYDIO 2", TakeoffWeightG: 775, BatteryWh: 45.6, Cells: 4, RatedFlightMin: 23, WheelbaseClassMM: 450, BaseComputeW: 4.0, HeavyComputeW: 13.0},
-		{Name: "DJI MAVIC", TakeoffWeightG: 734, BatteryWh: 43.6, Cells: 3, RatedFlightMin: 27, WheelbaseClassMM: 450, BaseComputeW: 2.0, HeavyComputeW: 6.0},
-		{Name: "DJI Phantom 4", TakeoffWeightG: 1380, BatteryWh: 81.3, Cells: 4, RatedFlightMin: 28, WheelbaseClassMM: 450, BaseComputeW: 3.0, HeavyComputeW: 8.0},
-		{Name: "DJI MATRICE", TakeoffWeightG: 2355, BatteryWh: 99.9, Cells: 6, RatedFlightMin: 22, WheelbaseClassMM: 800, BaseComputeW: 5.0, HeavyComputeW: 12.0},
+		{Name: "Parrot Mambo", TakeoffWeightG: 63, BatteryWh: 2.4, Cells: 1, RatedFlightMin: 8, WheelbaseClassMM: 100, LightComputeW: 0.5, HeavyComputeW: 1.8},
+		{Name: "Parrot Anafi", TakeoffWeightG: 320, BatteryWh: 20.9, Cells: 2, RatedFlightMin: 25, WheelbaseClassMM: 100, LightComputeW: 1.2, HeavyComputeW: 3.6},
+		{Name: "DJI Spark", TakeoffWeightG: 300, BatteryWh: 16.9, Cells: 3, RatedFlightMin: 16, WheelbaseClassMM: 100, LightComputeW: 1.5, HeavyComputeW: 4.8},
+		{Name: "DJI Mavic Air", TakeoffWeightG: 430, BatteryWh: 27.4, Cells: 3, RatedFlightMin: 21, WheelbaseClassMM: 450, LightComputeW: 2.0, HeavyComputeW: 6.5},
+		{Name: "Parrot Bebop 2", TakeoffWeightG: 500, BatteryWh: 30.0, Cells: 3, RatedFlightMin: 25, WheelbaseClassMM: 450, LightComputeW: 1.8, HeavyComputeW: 5.5},
+		{Name: "SKYDIO 2", TakeoffWeightG: 775, BatteryWh: 45.6, Cells: 4, RatedFlightMin: 23, WheelbaseClassMM: 450, LightComputeW: 4.0, HeavyComputeW: 13.0},
+		{Name: "DJI MAVIC", TakeoffWeightG: 734, BatteryWh: 43.6, Cells: 3, RatedFlightMin: 27, WheelbaseClassMM: 450, LightComputeW: 2.0, HeavyComputeW: 6.0},
+		{Name: "DJI Phantom 4", TakeoffWeightG: 1380, BatteryWh: 81.3, Cells: 4, RatedFlightMin: 28, WheelbaseClassMM: 450, LightComputeW: 3.0, HeavyComputeW: 8.0},
+		{Name: "DJI MATRICE", TakeoffWeightG: 2355, BatteryWh: 99.9, Cells: 6, RatedFlightMin: 22, WheelbaseClassMM: 800, LightComputeW: 5.0, HeavyComputeW: 12.0},
 	}
 }
 

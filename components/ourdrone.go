@@ -48,7 +48,7 @@ func OurDrone() CommercialDrone {
 		Cells:            3,
 		RatedFlightMin:   13,
 		WheelbaseClassMM: 450,
-		BaseComputeW:     4.14, // RPi 3.39 W autopilot + Navio2 0.75 W
+		LightComputeW:    4.14, // RPi 3.39 W autopilot + Navio2 0.75 W
 		HeavyComputeW:    5.31, // + SLAM active (RPi at 4.56 W)
 	}
 }

@@ -21,13 +21,12 @@ func atPool(t *testing.T, n int, body func()) {
 }
 
 // TestSweepCapacityDeterministic: the parallel sweep is identical to the
-// serial loop at every pool size, cached or not.
+// serial loop at every pool size.
 func TestSweepCapacityDeterministic(t *testing.T) {
 	spec := DefaultSpec()
 	p := DefaultParams()
 	var want []SweepPoint
 	atPool(t, 1, func() {
-		ResetResolveCache()
 		want = SweepCapacity(spec, p, 1000, 8000, 250)
 	})
 	if len(want) == 0 {
@@ -35,14 +34,8 @@ func TestSweepCapacityDeterministic(t *testing.T) {
 	}
 	for _, pool := range testPools {
 		atPool(t, pool, func() {
-			ResetResolveCache()
-			cold := SweepCapacity(spec, p, 1000, 8000, 250)
-			warm := SweepCapacity(spec, p, 1000, 8000, 250)
-			if !reflect.DeepEqual(cold, want) {
-				t.Fatalf("pool=%d cold sweep differs from serial", pool)
-			}
-			if !reflect.DeepEqual(warm, want) {
-				t.Fatalf("pool=%d warm (cached) sweep differs from serial", pool)
+			if got := SweepCapacity(spec, p, 1000, 8000, 250); !reflect.DeepEqual(got, want) {
+				t.Fatalf("pool=%d sweep differs from serial", pool)
 			}
 		})
 	}
@@ -93,7 +86,6 @@ func TestBestConfigDeterministic(t *testing.T) {
 	var want Design
 	var wantOK bool
 	atPool(t, 1, func() {
-		ResetResolveCache()
 		want, wantOK = BestConfig(spec, p, cells, 1000, 8000, 250)
 	})
 	if !wantOK {
@@ -101,7 +93,6 @@ func TestBestConfigDeterministic(t *testing.T) {
 	}
 	for _, pool := range testPools {
 		atPool(t, pool, func() {
-			ResetResolveCache()
 			got, ok := BestConfig(spec, p, cells, 1000, 8000, 250)
 			if !ok || got != want {
 				t.Fatalf("pool=%d BestConfig differs: ok=%v got %dS %.0f mAh, want %dS %.0f mAh",
@@ -129,7 +120,6 @@ func TestFrontiersDeterministic(t *testing.T) {
 	var wantTWR []TWRPoint
 	var wantSensor []SensorPayloadPoint
 	atPool(t, 1, func() {
-		ResetResolveCache()
 		wantPayload = ParetoPayloadFrontier(spec, p, payloads)
 		wantCompute = ParetoComputeFrontier(spec, p, computeW)
 		wantTWR = TWRSweep(spec, p)
@@ -140,7 +130,6 @@ func TestFrontiersDeterministic(t *testing.T) {
 	}
 	for _, pool := range testPools {
 		atPool(t, pool, func() {
-			ResetResolveCache()
 			if got := ParetoPayloadFrontier(spec, p, payloads); !reflect.DeepEqual(got, wantPayload) {
 				t.Errorf("pool=%d payload frontier differs", pool)
 			}

@@ -40,7 +40,7 @@ func SweepCapacity(spec Spec, p Params, loMah, hiMah, stepMah float64) []SweepPo
 		capacityMah := loMah + float64(i)*stepMah
 		s := spec
 		s.CapacityMah = capacityMah
-		d, err := ResolveCached(s, p)
+		d, err := Resolve(s, p)
 		if err != nil {
 			return nil
 		}
@@ -66,15 +66,21 @@ func SweepCapacity(spec Spec, p Params, loMah, hiMah, stepMah float64) []SweepPo
 
 // BestConfig searches cells x capacity for the configuration with the
 // longest hovering flight time — the "Best Configuration" annotation of
-// Figures 10a-c. The whole grid fans out across the pool; the reduction
-// scans in input order, so ties resolve exactly as the serial double loop
-// did. It returns ok=false when nothing is feasible.
+// Figures 10a-c. The whole grid fans out across the pool and BestOf reduces
+// the per-cell sweeps. It returns ok=false when nothing is feasible.
 func BestConfig(spec Spec, p Params, cellsOptions []int, loMah, hiMah, stepMah float64) (Design, bool) {
-	sweeps := parallelx.Map(cellsOptions, func(cells int) []SweepPoint {
+	return BestOf(parallelx.Map(cellsOptions, func(cells int) []SweepPoint {
 		s := spec
 		s.Cells = cells
 		return SweepCapacity(s, p, loMah, hiMah, stepMah)
-	})
+	}))
+}
+
+// BestOf returns the design with the longest hovering flight time across
+// the sweeps. It scans in input order and keeps the first of equal times,
+// so ties resolve exactly as a serial cells x capacity double loop. It
+// returns ok=false when every sweep is empty.
+func BestOf(sweeps [][]SweepPoint) (Design, bool) {
 	var best Design
 	bestMin := -1.0
 	for _, pts := range sweeps {

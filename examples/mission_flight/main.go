@@ -43,7 +43,6 @@ func main() {
 	// of simulated time (1000 physics steps) into the TCP link.
 	st, err := scenario.Build(scenario.Spec{
 		Seed:     7,
-		Compute:  scenario.Compute{BaseW: 4.14},
 		Workload: mission.Waypoints{Plan: plan},
 		Telemetry: scenario.Telemetry{
 			EverySteps: 1000,

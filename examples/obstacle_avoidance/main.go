@@ -16,7 +16,6 @@ import (
 	"dronedse/mathx"
 	"dronedse/mission"
 	"dronedse/planner"
-	"dronedse/platform"
 	"dronedse/scenario"
 	"dronedse/slam"
 )
@@ -71,7 +70,7 @@ func main() {
 	collided := false
 	st, err := scenario.Build(scenario.Spec{
 		Seed:     11,
-		Compute:  scenario.Compute{BaseW: platform.RPiPhasePowerW(platform.AutopilotSLAMFlying)},
+		Compute:  scenario.Compute{SLAM: true},
 		Workload: mission.Trajectory{Traj: traj},
 		Observers: []autopilot.StepObserver{func(a *autopilot.Autopilot, dt float64) {
 			if world.Occupied(a.Quad().State().Pos) {

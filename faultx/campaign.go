@@ -10,7 +10,6 @@ import (
 	"dronedse/mathx"
 	"dronedse/mission"
 	"dronedse/offload"
-	"dronedse/platform"
 	"dronedse/scenario"
 	"dronedse/slam"
 )
@@ -58,10 +57,6 @@ type Config struct {
 	// TakeoffAltM (default 5) and the box mission derived from it match
 	// cmd/flysim, so the fault-free row is bit-identical to flysim.
 	TakeoffAltM float64
-	// BaseComputeW is the autopilot-board draw before the offload
-	// session's share (default platform.FlightComputeW(false), the flysim
-	// RPi + Navio2).
-	BaseComputeW float64
 	// Workload selects what every flight in the campaign does after
 	// takeoff (nil = the reference box mission, the historical campaign).
 	// Every workload kind thus gets a fault-campaign variant for free:
@@ -75,9 +70,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TakeoffAltM <= 0 {
 		c.TakeoffAltM = 5
-	}
-	if c.BaseComputeW <= 0 {
-		c.BaseComputeW = platform.FlightComputeW(false)
 	}
 	return c
 }
@@ -243,7 +235,6 @@ func buildLane(sc Scenario, cfg Config) lane {
 			Workload:     cfg.Workload,
 			TakeoffAltM:  cfg.TakeoffAltM,
 			MaxSeconds:   cfg.MaxSeconds,
-			Compute:      scenario.Compute{BaseW: cfg.BaseComputeW},
 			EnergyPolicy: &policy,
 			Faults:       inj,
 			Offload: &scenario.Offload{

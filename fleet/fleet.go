@@ -27,6 +27,7 @@ import (
 	"math"
 
 	"dronedse/mission"
+	"dronedse/power"
 	"dronedse/scenario"
 )
 
@@ -100,7 +101,8 @@ const MaxJobSeconds = 3600
 
 // Validate vets the wire form before anything is journaled or any engine
 // resources are committed to it: every float finite, every count and size
-// non-negative, MaxSeconds within MaxJobSeconds, and a well-formed workload.
+// non-negative, MaxSeconds within MaxJobSeconds, battery_cells within
+// power.MaxCells, and a well-formed workload.
 // A failure is a tenant error the server refuses at submit time (HTTP 400),
 // not an engine fault mid-flight.
 func (j JobSpec) Validate() error {
@@ -122,6 +124,9 @@ func (j JobSpec) Validate() error {
 	}
 	if j.BatteryCells < 0 || j.TelemetryEverySteps < 0 {
 		return errors.New("fleet: battery_cells and telemetry_every_steps must be non-negative")
+	}
+	if j.BatteryCells > power.MaxCells {
+		return fmt.Errorf("fleet: battery_cells %d exceeds %d", j.BatteryCells, power.MaxCells)
 	}
 	if j.MaxSeconds > MaxJobSeconds {
 		return fmt.Errorf("fleet: max_seconds %v exceeds %d", j.MaxSeconds, MaxJobSeconds)

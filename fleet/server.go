@@ -227,6 +227,11 @@ func (s *Server) SubmitAll(specs []JobSpec) ([]uint64, error) {
 			return nil, fmt.Errorf("%w: job %d: %v", ErrBadSpec, i, err)
 		}
 	}
+	return s.enqueue(specs)
+}
+
+// enqueue journals and queues validated specs, as SubmitAll documents.
+func (s *Server) enqueue(specs []JobSpec) ([]uint64, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

@@ -287,9 +287,9 @@ func TestSubmitAfterShutdown(t *testing.T) {
 // its error recorded while co-tenants complete untouched.
 func TestBuildFailureFailsJobOnly(t *testing.T) {
 	srv := fleet.New(fleet.Config{MaxLanes: 4})
-	ids, err := srv.SubmitAll([]fleet.JobSpec{
+	ids, err := srv.SubmitUnchecked([]fleet.JobSpec{
 		{Seed: 1, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 2},
-		{Seed: 2, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 2, BatteryCells: 13}, // valid wire form; the pack takes 1-12 cells
+		{Seed: 2, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 2, BatteryCells: 13}, // the pack takes 1-12 cells
 		{Seed: 3, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 2},
 	})
 	if err != nil {

@@ -29,7 +29,8 @@ func getBody(t *testing.T, srv *fleet.Server, path string) string {
 }
 
 // wireSpecs are the pinned jobs: a hover flight that ends not completed, a
-// box mission that completes, and a spec that fails at Build.
+// box mission that completes, and a spec that fails at Build (submitted
+// unchecked: Validate would refuse it).
 func wireSpecs() []fleet.JobSpec {
 	return []fleet.JobSpec{
 		{Seed: 5, Workload: &mission.WireSpec{KindName: "hover"}, MaxSeconds: 2},
@@ -57,7 +58,7 @@ func TestJobStatusWireBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.SubmitAll(wireSpecs()); err != nil {
+	if _, err := srv.SubmitUnchecked(wireSpecs()); err != nil {
 		t.Fatal(err)
 	}
 	check := func(srv *fleet.Server, stage, path, want string) {

@@ -17,13 +17,15 @@ import (
 
 	"dronedse/fleet"
 	"dronedse/fleet/journal"
+	"dronedse/mathx"
 	"dronedse/mission"
 	"dronedse/scenario"
 )
 
-func TestJobSpecValidate(t *testing.T) {
+// acceptSpecs are specs Validate must accept; FuzzJobSpec seeds from them.
+func acceptSpecs() []fleet.JobSpec {
 	hover := &mission.WireSpec{KindName: "hover"}
-	accept := []fleet.JobSpec{
+	return []fleet.JobSpec{
 		{},
 		{Seed: -5, MaxSeconds: fleet.MaxJobSeconds},
 		// The extremes of the benchmark's job draws.
@@ -35,13 +37,12 @@ func TestJobSpecValidate(t *testing.T) {
 			BatteryCRating: 30, Workload: &mission.WireSpec{KindName: "coverage"}},
 		{Seed: 4, TakeoffAltM: 8, SLAM: true, TelemetryEverySteps: 100, DeadlineS: 30},
 	}
-	for i, spec := range accept {
-		if err := spec.Validate(); err != nil {
-			t.Errorf("accept[%d]: %v", i, err)
-		}
-	}
+}
 
-	reject := map[string]fleet.JobSpec{
+// rejectSpecs are specs Validate must refuse, by reason; FuzzJobSpec seeds
+// from them.
+func rejectSpecs() map[string]fleet.JobSpec {
+	return map[string]fleet.JobSpec{
 		"max_seconds 1e9":      {Seed: 1, MaxSeconds: 1e9},
 		"max_seconds over cap": {Seed: 1, MaxSeconds: fleet.MaxJobSeconds + 0.5},
 		"NaN wind":             {Seed: 1, WindMeanMS: math.NaN()},
@@ -56,6 +57,17 @@ func TestJobSpecValidate(t *testing.T) {
 		"negative telemetry":   {Seed: 1, TelemetryEverySteps: -1},
 		"bad workload":         {Seed: 1, Workload: &mission.WireSpec{KindName: "teleport"}},
 		"empty delivery":       {Seed: 1, Workload: &mission.WireSpec{KindName: "delivery", Delivery: &mission.Delivery{}}},
+		"13 cells":             {Seed: 1, BatteryCells: 13},
+		"one-point trajectory": {Seed: 1, Workload: &mission.WireSpec{KindName: "trajectory",
+			Trajectory: &mission.Trajectory{Path: []mathx.Vec3{{X: 0, Y: 0, Z: 5}, {X: 0, Y: 0, Z: 5}}}}},
+	}
+}
+
+func TestJobSpecValidate(t *testing.T) {
+	for i, spec := range acceptSpecs() {
+		if err := spec.Validate(); err != nil {
+			t.Errorf("accept[%d]: %v", i, err)
+		}
 	}
 	srv, _, err := fleet.NewJournaled(fleet.Config{MaxLanes: 2}, t.TempDir())
 	if err != nil {
@@ -63,7 +75,7 @@ func TestJobSpecValidate(t *testing.T) {
 	}
 	defer srv.Shutdown()
 	size := srv.Journal().Size()
-	for name, bad := range reject {
+	for name, bad := range rejectSpecs() {
 		if _, err := srv.Submit(bad); !errors.Is(err, fleet.ErrBadSpec) {
 			t.Errorf("%s: submit err = %v, want ErrBadSpec", name, err)
 		}
@@ -93,6 +105,8 @@ func TestStrictWireDecode(t *testing.T) {
 		`[{"seed": 1, "hover": true}]`,
 		`[{"seed": 1, "max_second": 5}]`,
 		`[{"seed": 1, "max_seconds": 1e9}]`,
+		`[{"seed": 1, "battery_cells": 13}]`,
+		`[{"seed": 1, "workload": {"kind": "trajectory", "trajectory": {"path": [{"X":0,"Y":0,"Z":5},{"X":0,"Y":0,"Z":5}]}}}]`,
 	} {
 		resp, err := http.Post(hs.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -224,23 +224,11 @@ type Trajectory struct {
 // Kind implements Workload.
 func (Trajectory) Kind() string { return "trajectory" }
 
-// Validate implements Workload.
+// Validate implements Workload: a wire path must be finite and one the
+// planner can time-parametrize.
 func (t Trajectory) Validate() error {
-	if t.Traj != nil {
-		return nil
-	}
-	if len(t.Path) < 2 {
-		return errors.New("mission: trajectory needs a pre-built Traj or a path of at least 2 points")
-	}
-	for i, p := range t.Path {
-		if !finiteVec(p) {
-			return fmt.Errorf("mission: trajectory path point %d not finite", i)
-		}
-	}
-	if !finite(t.VMaxMS) || t.VMaxMS < 0 || !finite(t.AMaxMS2) || t.AMaxMS2 < 0 {
-		return errors.New("mission: trajectory limits must be finite and non-negative")
-	}
-	return nil
+	_, err := t.resolve()
+	return err
 }
 
 // HorizonS implements Workload: the longer of the mission window and the
@@ -260,8 +248,13 @@ func (t Trajectory) resolve() (*planner.Trajectory, error) {
 	if t.Traj != nil {
 		return t.Traj, nil
 	}
-	if err := t.Validate(); err != nil {
-		return nil, err
+	for i, p := range t.Path {
+		if !finiteVec(p) {
+			return nil, fmt.Errorf("mission: trajectory path point %d not finite", i)
+		}
+	}
+	if !finite(t.VMaxMS) || t.VMaxMS < 0 || !finite(t.AMaxMS2) || t.AMaxMS2 < 0 {
+		return nil, errors.New("mission: trajectory limits must be finite and non-negative")
 	}
 	vmax, amax := t.VMaxMS, t.AMaxMS2
 	if vmax == 0 {

@@ -41,9 +41,12 @@ type Pack struct {
 	vValid                      bool
 }
 
+// MaxCells is the largest series cell count a pack may have (12S).
+const MaxCells = 12
+
 // NewPack builds a pack; it validates the configuration.
 func NewPack(cells int, capacityMah, dischargeC float64) (*Pack, error) {
-	if cells < 1 || cells > 12 {
+	if cells < 1 || cells > MaxCells {
 		return nil, errors.New("power: cell count out of range")
 	}
 	if capacityMah <= 0 {

@@ -12,7 +12,6 @@ import (
 	"dronedse/mission"
 	"dronedse/parallelx"
 	"dronedse/scenario"
-	"dronedse/sim"
 )
 
 // identitySpecs is the bit-identity property-test fleet: a factory (fault
@@ -27,7 +26,7 @@ func identitySpecs() []scenario.Spec {
 		{Seed: 14, MaxSeconds: 30, Wind: scenario.Wind{MeanMS: 6, GustMS: 3}},
 		{Seed: 15, Workload: mission.Hover{}, MaxSeconds: 2, Compute: scenario.Compute{SLAM: true}},
 		{Seed: 16, Workload: mission.Hover{}, MaxSeconds: 4, TakeoffAltM: 8},
-		{Seed: 17, MaxSeconds: 20, TraceSeed: 99},
+		{Seed: 17, MaxSeconds: 20},
 		{Seed: 18, Workload: mission.Hover{}, MaxSeconds: 2, Battery: scenario.Battery{Cells: 4, CapacityMah: 5000}},
 	}
 }
@@ -41,9 +40,15 @@ func putBits(h hash.Hash, vs ...float64) {
 }
 
 // resultDigest hashes everything the determinism contract pins: the
-// trajectory, the flight log (entries and events), the oscilloscope trace,
-// and the Equation-7 energy ledger — all at full float-bit fidelity.
+// trajectory, the flight log (entries and events), and the Equation-7
+// energy ledger — all at full float-bit fidelity.
 func resultDigest(t *testing.T, res *scenario.Result, err error) string {
+	t.Helper()
+	return hex.EncodeToString(resultHash(t, res, err).Sum(nil))
+}
+
+// resultHash is resultDigest's running hash, for digests that append more.
+func resultHash(t *testing.T, res *scenario.Result, err error) hash.Hash {
 	t.Helper()
 	if err != nil {
 		t.Fatalf("flight failed: %v", err)
@@ -69,10 +74,7 @@ func resultDigest(t *testing.T, res *scenario.Result, err error) string {
 		putBits(h, e.TimeS)
 		h.Write([]byte(e.Text))
 	}
-	for _, s := range res.Trace.Samples() {
-		putBits(h, s.TimeS, s.PowerW)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return h
 }
 
 // TestBatchSerialBitIdentity is ISSUE 6's hard requirement: the same Spec +
@@ -201,11 +203,9 @@ func TestBatchLaneErrorIsolation(t *testing.T) {
 	wantRes, wantErr := scenario.Run(good)
 	want := resultDigest(t, wantRes, wantErr)
 
-	badQuad := sim.DefaultConfig()
-	badQuad.TWR = 0.5 // below the flying minimum: Build must fail
 	results, errs := scenario.RunBatch([]scenario.Spec{
 		{Seed: 41, Workload: mission.Hover{}, MaxSeconds: 2},
-		{Seed: 42, Quad: &badQuad},
+		{Seed: 42, Battery: scenario.Battery{Cells: 13}}, // Build must fail
 		{Seed: 41, Workload: mission.Hover{}, MaxSeconds: 2},
 	})
 	if errs[1] == nil || results[1] != nil {

@@ -9,7 +9,6 @@ import (
 	"dronedse/estimation"
 	"dronedse/mathx"
 	"dronedse/mission"
-	"dronedse/trace"
 )
 
 // Result is the structured outcome of one scenario flight.
@@ -55,10 +54,8 @@ type Result struct {
 	EKFStats  estimation.EKFStats
 	CtrlStats control.CtrlStats
 
-	// Log is the DataFlash-style flight log; Trace the oscilloscope
-	// power recording.
-	Log   *autopilot.FlightLog
-	Trace *trace.Recorder
+	// Log is the DataFlash-style flight log.
+	Log *autopilot.FlightLog
 }
 
 // AvgPowerW is the flight's mean whole-drone power.

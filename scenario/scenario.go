@@ -3,15 +3,15 @@
 // a battery, a compute platform, optional SLAM offload and fault plans, a
 // workload — and one audited Build that performs all the cross-package
 // wiring (quad ↔ sensors ↔ estimator ↔ autopilot ↔ battery ↔ injector ↔
-// trace recorders) that was previously hand-rolled, divergently, by
+// offload session) that was previously hand-rolled, divergently, by
 // cmd/flysim, faultx.Run, bench.RunFigure16 and the examples.
 //
 // Determinism contract: a Spec is a pure value plus a seed. Build derives
-// every stochastic stream (sensor noise, turbulence, instrument noise,
-// offload jitter) from Spec.Seed, and Run drives the stack through a fixed
-// arm → takeoff → workload → land sequence, so the same Spec always
-// reproduces the same flight bit for bit — the property the campaign
-// pool-invariance and golden-regression tests pin.
+// every stochastic stream (sensor noise, turbulence, offload jitter) from
+// Spec.Seed, and Run drives the stack through a fixed arm → takeoff →
+// workload → land sequence, so the same Spec always reproduces the same
+// flight bit for bit — the property the campaign pool-invariance and
+// golden-regression tests pin.
 //
 // What flies after takeoff is Spec.Workload, a mission.Workload: the driver
 // arms, takes off, then hands the flight to the workload's per-flight Driver
@@ -19,12 +19,13 @@
 // mission.Box{}, the 12 m reference box.
 //
 // Observer ordering: Build registers step observers on the autopilot's bus
-// in a fixed order — (1) the power-trace recorder, (2) the flight log,
-// (3) the scenario probe (fault application at 100 Hz, offload session and
-// trajectory tap at 10 Hz, telemetry at the configured cadence, energy
-// integration every step), (4) user observers in Spec order. Registration
-// order is execution order (see autopilot.Observe), so a given Spec always
-// replays observer side effects identically.
+// in a fixed order — (1) the flight log, (2) the scenario probe (fault
+// application at 100 Hz, offload session and trajectory tap at 10 Hz,
+// telemetry at the configured cadence, energy integration every step),
+// (3) user observers in Spec order, such as a trace.Recorder on the
+// whole-drone power. Registration order is execution order (see
+// autopilot.Observe), so a given Spec always replays observer side effects
+// identically.
 package scenario
 
 import (
@@ -32,7 +33,6 @@ import (
 	"fmt"
 
 	"dronedse/autopilot"
-	"dronedse/control"
 	"dronedse/mathx"
 	"dronedse/mission"
 	"dronedse/offload"
@@ -41,7 +41,6 @@ import (
 	"dronedse/sensors"
 	"dronedse/sim"
 	"dronedse/slam"
-	"dronedse/trace"
 )
 
 // Wind selects the environment. The zero value is calm air (deterministic
@@ -79,19 +78,8 @@ func (b Battery) withDefaults() Battery {
 // the paper's RPi + Navio2 stack running the autopilot alone
 // (platform.FlightComputeW(false)); SLAM selects the SLAM-active phase.
 type Compute struct {
-	// BaseW, when positive, overrides the platform-derived draw entirely.
-	BaseW float64
 	// SLAM selects the SLAM-active RPi phase (§5.1's 4.56 W average).
 	SLAM bool
-}
-
-// BoardW resolves the draw, sourcing the named §5.1 operating points from
-// package platform — the one definition the old call sites each inlined.
-func (c Compute) BoardW() float64 {
-	if c.BaseW > 0 {
-		return c.BaseW
-	}
-	return platform.FlightComputeW(c.SLAM)
 }
 
 // Offload attaches an offload session: SLAM-class work shipped to a remote
@@ -166,16 +154,12 @@ type Spec struct {
 	// Seed drives every stochastic stream in the stack.
 	Seed int64
 
-	// Quad overrides the plant configuration (nil = sim.DefaultConfig()).
-	Quad *sim.Config
 	// Wind selects the environment (zero = calm).
 	Wind Wind
 	// Battery selects the pack (zero = 3S/3000/30).
 	Battery Battery
 	// Compute selects the companion-computer draw (zero = RPi+Navio2).
 	Compute Compute
-	// Rates overrides the control-cascade rates (zero = Table 2b defaults).
-	Rates control.Rates
 
 	// TakeoffAltM is the takeoff altitude (default 5).
 	TakeoffAltM float64
@@ -197,12 +181,9 @@ type Spec struct {
 	// Telemetry, when Send is non-nil, streams MAVLink frames.
 	Telemetry Telemetry
 
-	// TraceSeed seeds the oscilloscope's instrument noise (0 = Seed;
-	// bench.RunFigure16 historically used Seed+1).
-	TraceSeed int64
-
 	// Observers are user step observers, registered after the built-in
-	// ones in slice order.
+	// ones in slice order. The whole-drone oscilloscope of Figure 16 is
+	// one: a trace.Recorder fed a.TotalPowerW() each step.
 	Observers []autopilot.StepObserver
 	// OnPhase, when non-nil, is called as the driver crosses each Phase.
 	OnPhase func(*Stack, Phase)
@@ -218,9 +199,6 @@ func (s Spec) withDefaults() Spec {
 	s.Battery = s.Battery.withDefaults()
 	if s.Telemetry.EverySteps <= 0 {
 		s.Telemetry.EverySteps = 250
-	}
-	if s.TraceSeed == 0 {
-		s.TraceSeed = s.Seed
 	}
 	if s.Workload == nil {
 		s.Workload = mission.Box{}
@@ -238,7 +216,6 @@ type Stack struct {
 	Autopilot *autopilot.Autopilot
 	Session   *offload.Session
 	Log       *autopilot.FlightLog
-	Trace     *trace.Recorder
 
 	baseComputeW float64
 	designMassKg float64
@@ -278,9 +255,6 @@ func (st *Stack) SetPayloadKg(kg float64) {
 func Build(spec Spec) (*Stack, error) {
 	spec = spec.withDefaults()
 	cfg := sim.DefaultConfig()
-	if spec.Quad != nil {
-		cfg = *spec.Quad
-	}
 	q, err := sim.NewQuad(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: plant: %w", err)
@@ -297,9 +271,9 @@ func Build(spec Spec) (*Stack, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: battery: %w", err)
 	}
-	baseW := spec.Compute.BoardW()
+	baseW := platform.FlightComputeW(spec.Compute.SLAM)
 	ap, err := autopilot.New(autopilot.Config{
-		Quad: q, Rates: spec.Rates, Battery: pack, ComputeW: baseW,
+		Quad: q, Battery: pack, ComputeW: baseW,
 		TakeoffAltM: spec.TakeoffAltM, Seed: spec.Seed,
 	})
 	if err != nil {
@@ -350,11 +324,6 @@ func Build(spec Spec) (*Stack, error) {
 	st.Log.Reserve(durS)
 
 	// Observer bus, in the package-documented order.
-	st.Trace = trace.NewOscilloscope(spec.TraceSeed)
-	st.Trace.Reserve(durS)
-	ap.Observe(func(a *autopilot.Autopilot, dt float64) {
-		st.Trace.Observe(a.Time(), a.TotalPowerW())
-	})
 	ap.AttachFlightLog(st.Log)
 	ap.Observe(st.probe)
 	for _, fn := range spec.Observers {
@@ -530,7 +499,6 @@ func (st *Stack) finish() {
 		EnergyWh:    st.energyWh,
 		ComputeWh:   st.computeWh,
 		Log:         st.Log,
-		Trace:       st.Trace,
 		EKFStats:    ap.Estimator().Pos.Stats,
 		CtrlStats:   ap.Cascade().Stats,
 	}

@@ -7,14 +7,17 @@ package scenario_test
 // the new workloads resident.
 
 import (
+	"encoding/hex"
 	"fmt"
 	"os"
 	"testing"
 
+	"dronedse/autopilot"
 	"dronedse/mathx"
 	"dronedse/mission"
 	"dronedse/parallelx"
 	"dronedse/scenario"
+	"dronedse/trace"
 )
 
 // workloadSpecs is the mixed-workload property-test fleet: one spec per
@@ -62,16 +65,31 @@ func TestWorkloadFlysimGoldenBatched(t *testing.T) {
 	}
 }
 
-// TestWorkloadGoldenDigests pins every workload kind's full-result digest so
-// an unintended physics, driver or workload change fails loudly. Regenerate
-// deliberately with GOLDEN_UPDATE=1.
+// tracedDigest flies spec with a whole-drone oscilloscope seeded like the
+// flight and returns resultDigest's hash extended by the recorded samples.
+func tracedDigest(t *testing.T, spec scenario.Spec) string {
+	t.Helper()
+	scope := trace.NewOscilloscope(spec.Seed)
+	spec.Observers = append(spec.Observers, func(a *autopilot.Autopilot, dt float64) {
+		scope.Observe(a.Time(), a.TotalPowerW())
+	})
+	res, err := scenario.Run(spec)
+	h := resultHash(t, res, err)
+	for _, s := range scope.Samples() {
+		putBits(h, s.TimeS, s.PowerW)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestWorkloadGoldenDigests pins every workload kind's full-result digest,
+// oscilloscope trace included, so an unintended physics, driver or workload
+// change fails loudly. Regenerate deliberately with GOLDEN_UPDATE=1.
 func TestWorkloadGoldenDigests(t *testing.T) {
 	specs := workloadSpecs()
 	if updateGoldens {
 		body := ""
 		for _, spec := range specs {
-			res, err := scenario.Run(spec)
-			body += fmt.Sprintf("%s %s\n", spec.Workload.Kind(), resultDigest(t, res, err))
+			body += fmt.Sprintf("%s %s\n", spec.Workload.Kind(), tracedDigest(t, spec))
 		}
 		if err := os.WriteFile("testdata/workloads_golden.txt", []byte(body), 0o644); err != nil {
 			t.Fatal(err)
@@ -82,8 +100,7 @@ func TestWorkloadGoldenDigests(t *testing.T) {
 	want := readGolden(t, "testdata/workloads_golden.txt")
 	for _, spec := range specs {
 		kind := spec.Workload.Kind()
-		res, err := scenario.Run(spec)
-		if got := resultDigest(t, res, err); got != want[kind] {
+		if got := tracedDigest(t, spec); got != want[kind] {
 			t.Errorf("%s: digest %s, golden %s", kind, got, want[kind])
 		}
 	}
