@@ -12,7 +12,7 @@
 #              inner loop
 #   race       the full suite under the race detector
 #   ci-bench   the benchmark smokes (core, SLAM, fault, batch, workloads,
-#              roofline), the wire-contract fuzz smoke, plus the
+#              roofline), the wire fuzz smokes, plus the
 #              BENCH_core.json ns/op regression guard
 #   ci-smoke   the end-to-end command smokes, including the fleetd pipeline
 #              and the crash/recovery chaos harness (scripts/fleet_chaos.sh)
@@ -119,10 +119,15 @@ bench-guard:
 	$(GO) run ./cmd/benchjson -quick -o /tmp/bench_guard_new.json
 	$(GO) run ./cmd/benchguard -new /tmp/bench_guard_new.json
 
-# Wire-contract fuzz smoke: 15 s of FuzzJobSpec (strict decode → Validate →
-# Build) beyond its seed corpus, which plain `go test` already runs.
+# Wire fuzz smoke: 15 s each of FuzzJobSpec (strict decode → Validate →
+# Build), FuzzScan (journal replay) and FuzzParser (MAVLink stream decode)
+# beyond their seed corpora, which plain `go test` already runs. The two
+# byte-stream targets cap input minimization at 2 s: left at its 60 s
+# default, minimizing one ~1 KB journal input eats the whole budget.
 fuzz-smoke:
 	$(GO) test ./fleet/ -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 15s
+	$(GO) test ./fleet/journal/ -run '^$$' -fuzz '^FuzzScan$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./mavlink/ -run '^$$' -fuzz '^FuzzParser$$' -fuzztime 15s -fuzzminimizetime 2s
 
 # End-to-end command smoke: build and briefly run every cmd binary and every
 # example, so a refactor that compiles but breaks a tool's wiring (all of

@@ -94,7 +94,6 @@ type Config struct {
 type Autopilot struct {
 	quad    *sim.Quad
 	cascade *control.Cascade
-	rates   control.Rates
 	suite   *sensors.Suite
 	est     *estimation.Estimator
 	battery *power.Pack
@@ -126,6 +125,10 @@ type Autopilot struct {
 	physicsHz float64
 	lastIMU   sensors.IMUSample
 	prevVel   mathx.Vec3
+
+	// Loop dividers, fixed at New: the position, attitude and rate loops
+	// run every posEvery, attEvery and rateEvery physics steps.
+	posEvery, attEvery, rateEvery int
 
 	// faults, when non-nil, reports declared fault conditions (GPS denial
 	// windows) the failsafe monitor escalates on.
@@ -171,7 +174,6 @@ func New(cfg Config) (*Autopilot, error) {
 	a := &Autopilot{
 		quad:       cfg.Quad,
 		cascade:    control.NewCascade(cfg.Quad),
-		rates:      r,
 		suite:      sensors.NewSuite(cfg.Seed),
 		est:        estimation.NewEstimator(),
 		battery:    cfg.Battery,
@@ -183,7 +185,19 @@ func New(cfg Config) (*Autopilot, error) {
 	if r.RateHz > a.physicsHz {
 		a.physicsHz = r.RateHz
 	}
+	a.posEvery = stepsPer(a.physicsHz, r.PositionHz)
+	a.attEvery = stepsPer(a.physicsHz, r.AttitudeHz)
+	a.rateEvery = stepsPer(a.physicsHz, r.RateHz)
 	return a, nil
+}
+
+// stepsPer is the whole number of physics steps per period of a loop
+// running at loopHz, at least one.
+func stepsPer(physicsHz, loopHz float64) int {
+	if n := int(physicsHz/loopHz + 0.5); n > 1 {
+		return n
+	}
+	return 1
 }
 
 // FaultSignals is the autopilot's view of declared fault conditions
@@ -449,29 +463,17 @@ func (a *Autopilot) Step() {
 
 	// Control cascade at Table 2b rates, flying on the estimate.
 	est := a.EstimatedState()
-	posEvery := int(a.physicsHz/a.rates.PositionHz + 0.5)
-	attEvery := int(a.physicsHz/a.rates.AttitudeHz + 0.5)
-	rateEvery := int(a.physicsHz/a.rates.RateHz + 0.5)
-	if posEvery < 1 {
-		posEvery = 1
-	}
-	if attEvery < 1 {
-		attEvery = 1
-	}
-	if rateEvery < 1 {
-		rateEvery = 1
-	}
 	armed := a.mode != Disarmed
-	if a.steps%posEvery == 0 && armed {
+	if a.steps%a.posEvery == 0 && armed {
 		a.checkSafety()
-		a.cascade.UpdatePosition(est, a.targets(), float64(posEvery)*dt)
+		a.cascade.UpdatePosition(est, a.targets(), float64(a.posEvery)*dt)
 	}
-	if a.steps%attEvery == 0 && armed {
-		a.cascade.UpdateAttitude(est, float64(attEvery)*dt)
+	if a.steps%a.attEvery == 0 && armed {
+		a.cascade.UpdateAttitude(est, float64(a.attEvery)*dt)
 	}
-	if a.steps%rateEvery == 0 {
+	if a.steps%a.rateEvery == 0 {
 		if armed {
-			a.quad.CommandThrusts(a.cascade.UpdateRate(est, float64(rateEvery)*dt))
+			a.quad.CommandThrusts(a.cascade.UpdateRate(est, float64(a.rateEvery)*dt))
 		} else {
 			a.quad.CommandThrusts([sim.NumMotors]float64{})
 		}

@@ -14,7 +14,7 @@ func TestPosVelEKFZeroAllocSteadyState(t *testing.T) {
 	k := NewPosVelEKF()
 	accel := mathx.V3(0.1, -0.2, 9.75)
 	fix := sensors.GPSSample{Pos: mathx.V3(1, 2, 3), Vel: mathx.V3(0.1, 0.2, 0.3)}
-	// Warm once so any lazy caching (F/Q for this dt) happens outside the
+	// Warm once so any first-call work happens outside the
 	// measured region.
 	k.Predict(accel, 1.0/200)
 	k.UpdateGPS(fix, 1.5, 0.3)

@@ -92,14 +92,15 @@ func wrapAngle(a float64) float64 {
 // GPS velocity, and barometric altitude at their Table 2a rates.
 //
 // The filter is alloc-free in steady state: all matrix and vector scratch
-// lives in one contiguous arena carved out at construction, and the constant
-// prediction matrices F, F^T and Q are cached per (dt, AccelNoise). Every
-// operation is the bit-exact sibling of the original allocating algebra, so
-// results are unchanged while a scenario batch can step thousands of filters
-// without touching the heap.
+// lives in one contiguous arena carved out at construction. Prediction
+// writes F P Fᵀ + Q out by the structure of F = [I dt·I; 0 I] instead of
+// multiplying dense matrices. Every operation is the bit-exact sibling of
+// the original allocating algebra, so results are unchanged while a
+// scenario batch can step thousands of filters without touching the heap.
 type PosVelEKF struct {
-	x []float64    // state
-	p *mathx.Dense // covariance
+	x  []float64    // state
+	p  *mathx.Dense // covariance
+	pd []float64    // p's row-major storage, for the structured predict
 
 	// Stats is the filter's work ledger (see EKFStats); it only counts, so
 	// reading it never perturbs the filter state.
@@ -109,15 +110,10 @@ type PosVelEKF struct {
 	// (m/s^2, 1-sigma).
 	AccelNoise float64
 
-	// Cached prediction matrices, valid for (fqDt, fqNoise).
-	f, ft, q mathx.Dense
-	fqDt     float64
-	fqNoise  float64
-
-	// Scratch (arena-backed): two 6x6 temporaries for P propagation, and
-	// the update-path workspace sized for the largest (GPS, m=6)
-	// measurement, Reshaped down for smaller ones.
-	t1, t2       mathx.Dense
+	// Scratch (arena-backed): a 6x6 temporary for the covariance
+	// correction, and the update-path workspace sized for the largest
+	// (GPS, m=6) measurement, Reshaped down for smaller ones.
+	t1           mathx.Dense
 	s, pht       mathx.Dense // innovation covariance, P H^T
 	kg, kh, imkh mathx.Dense // Kalman gain, K H, I - K H
 	l            mathx.Dense // Cholesky factor of s
@@ -126,10 +122,10 @@ type PosVelEKF struct {
 	zbuf, rbuf   []float64
 }
 
-// ekfArenaFloats is the arena footprint: state(6) + 12 6x6 matrices
-// (covariance, F/F^T/Q cache, and the scratch set) + 4 length-6 work
-// vectors + the z/r measurement buffers.
-const ekfArenaFloats = 6 + 12*36 + 4*6 + 2*6
+// ekfArenaFloats is the arena footprint: state(6) + 8 6x6 matrices
+// (covariance and the scratch set) + 4 length-6 work vectors + the z/r
+// measurement buffers.
+const ekfArenaFloats = 6 + 8*36 + 4*6 + 2*6
 
 // NewPosVelEKF returns a filter at the origin with loose covariance.
 func NewPosVelEKF() *PosVelEKF {
@@ -142,10 +138,10 @@ func NewPosVelEKF() *PosVelEKF {
 	mat := func() mathx.Dense { return mathx.DenseOn(take(36), 6, 6) }
 	k := &PosVelEKF{AccelNoise: 0.8}
 	k.x = take(6)
-	pm := mat()
+	k.pd = take(36)
+	pm := mathx.DenseOn(k.pd, 6, 6)
 	k.p = &pm
-	k.f, k.ft, k.q = mat(), mat(), mat()
-	k.t1, k.t2 = mat(), mat()
+	k.t1 = mat()
 	k.s, k.pht = mat(), mat()
 	k.kg, k.kh, k.imkh = mat(), mat(), mat()
 	k.l = mat()
@@ -155,25 +151,6 @@ func NewPosVelEKF() *PosVelEKF {
 	k.p.SetIdentity()
 	k.p.ScaleInPlace(10)
 	return k
-}
-
-// refreshFQ rebuilds the cached F, F^T and Q for the given step, using the
-// exact element expressions the per-call construction used.
-func (k *PosVelEKF) refreshFQ(dt float64) {
-	s2 := k.AccelNoise * k.AccelNoise
-	k.f.SetIdentity()
-	for i := 0; i < 3; i++ {
-		k.f.Set(i, 3+i, dt)
-	}
-	k.ft.TransposeOf(&k.f)
-	k.q.Reshape(6, 6)
-	for i := 0; i < 3; i++ {
-		k.q.Set(i, i, 0.25*dt*dt*dt*dt*s2)
-		k.q.Set(i, 3+i, 0.5*dt*dt*dt*s2)
-		k.q.Set(3+i, i, 0.5*dt*dt*dt*s2)
-		k.q.Set(3+i, 3+i, dt*dt*s2)
-	}
-	k.fqDt, k.fqNoise = dt, k.AccelNoise
 }
 
 // Predict advances the state with a world-frame acceleration over dt.
@@ -188,13 +165,33 @@ func (k *PosVelEKF) Predict(accelWorld mathx.Vec3, dt float64) {
 		k.x[i] += k.x[3+i]*dt + 0.5*a[i]*dt*dt
 		k.x[3+i] += a[i] * dt
 	}
-	// F = [I, dt*I; 0, I]; P = F P F^T + Q
-	if dt != k.fqDt || k.AccelNoise != k.fqNoise {
-		k.refreshFQ(dt)
+	// P ← F P Fᵀ + Q with F = [I dt·I; 0 I], in place. F P adds dt times
+	// the velocity rows to the position rows; (F P) Fᵀ does the same on
+	// columns. Each element keeps the dense product's accumulation order
+	// from a +0 start (0 + x turns a -0 into +0), so for finite P this is
+	// bit-identical to multiplying by the explicit F and Fᵀ. After the
+	// first pass no element is -0, so the second needs no +0 start, and
+	// adding Q's zero entries would change nothing.
+	p := k.pd
+	for i := 0; i < 18; i++ {
+		p[i] = (0 + p[i]) + dt*p[i+18]
 	}
-	k.t1.MulOf(&k.f, k.p)
-	k.t2.MulOf(&k.t1, &k.ft)
-	k.p.AddOf(&k.t2, &k.q)
+	for i := 18; i < 36; i++ {
+		p[i] = 0 + p[i]
+	}
+	for r := 0; r < 36; r += 6 {
+		p[r] += dt * p[r+3]
+		p[r+1] += dt * p[r+4]
+		p[r+2] += dt * p[r+5]
+	}
+	s2 := k.AccelNoise * k.AccelNoise
+	qpp, qpv, qvv := 0.25*dt*dt*dt*dt*s2, 0.5*dt*dt*dt*s2, dt*dt*s2
+	for i := 0; i < 3; i++ {
+		p[i*7] += qpp
+		p[i*6+i+3] += qpv
+		p[(i+3)*6+i] += qpv
+		p[(i+3)*7] += qvv
+	}
 	k.p.Symmetrize()
 }
 

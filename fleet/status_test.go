@@ -42,8 +42,8 @@ func wireSpecs() []fleet.JobSpec {
 const (
 	wireQueued  = `{"id":1,"state":"queued","spec":{"seed":5,"max_seconds":2,"workload":{"kind":"hover"}}}` + "\n"
 	wireRunning = `{"id":1,"state":"running","spec":{"seed":5,"max_seconds":2,"workload":{"kind":"hover"}},"sim_time_s":0.25000000000000017}` + "\n"
-	wireDone1   = `{"id":1,"state":"done","spec":{"seed":5,"max_seconds":2,"workload":{"kind":"hover"}},"flight_time_s":9.026000000000437,"energy_wh":0.2789071164320535,"compute_wh":0.010379900000000709,"compute_flight_cost_min":0.005598576962259952,"final_mode":"DISARMED","digests":{"trajectory":"38753e134063a2615f5b30bfbd29fec8faae7b5a28072c267507d443e5fad69d","flight_log":"2afe674b9e66e3c84a4943f5c241f7e082927a7260843837379a63cdf160b193","ledger":"3cb07175811cedc12043367ad087fd47c56964fb600628abf099ee06fe3a376f"}}`
-	wireDone2   = `{"id":2,"state":"done","spec":{"seed":6,"max_seconds":20},"flight_time_s":20.00000000000146,"energy_wh":0.6756376305246954,"compute_wh":0.02299999999999078,"compute_flight_cost_min":0.011347305597395862,"completed":true,"final_mode":"LAND","digests":{"trajectory":"3ce077bbcf557281ae7c3c6079c78fc36141b17e81eb0443787ed0d635fd0bba","flight_log":"6cba26269c06e02f8e2be8653106a94fe3dafc9ff1e380e9100e040d0c695685","ledger":"92f3eacd63b91e69935779af91c222144263b3973e3f5beba3edb74fd90bbafc"}}`
+	wireDone1   = `{"id":1,"state":"done","spec":{"seed":5,"max_seconds":2,"workload":{"kind":"hover"}},"flight_time_s":9.026000000000437,"energy_wh":0.2789071164320535,"compute_wh":0.010379900000000709,"compute_flight_cost_min":0.005598576962259952,"final_mode":"DISARMED","digests":{"trajectory":"38753e134063a2615f5b30bfbd29fec8faae7b5a28072c267507d443e5fad69d","flight_log":"9af5d9a7b1ded782e7ead1b61cd467568f9a24efd208b136e506143d2f3d385d","ledger":"3cb07175811cedc12043367ad087fd47c56964fb600628abf099ee06fe3a376f"}}`
+	wireDone2   = `{"id":2,"state":"done","spec":{"seed":6,"max_seconds":20},"flight_time_s":20.00000000000146,"energy_wh":0.6756376305246954,"compute_wh":0.02299999999999078,"compute_flight_cost_min":0.011347305597395862,"completed":true,"final_mode":"LAND","digests":{"trajectory":"3ce077bbcf557281ae7c3c6079c78fc36141b17e81eb0443787ed0d635fd0bba","flight_log":"b9b8501d51359a2f99d5e5e6ec5f39d15bfd58fce1ea793d4dc31b1f8bd564c4","ledger":"92f3eacd63b91e69935779af91c222144263b3973e3f5beba3edb74fd90bbafc"}}`
 	wireFailed3 = `{"id":3,"state":"failed","spec":{"seed":7,"max_seconds":2,"workload":{"kind":"hover"},"battery_cells":13},"error":"scenario: battery: power: cell count out of range"}`
 	wireList    = `{"jobs":[` + wireDone1 + `,` + wireDone2 + `,` + wireFailed3 + `]}` + "\n"
 )
@@ -115,7 +115,7 @@ func TestReplayExplicitZeroSummary(t *testing.T) {
 		payload string
 	}{
 		{fleet.WalSubmitKind, `{"id":1,"spec":{"seed":5,"max_seconds":2,"workload":{"kind":"hover"}}}`},
-		{fleet.WalDoneKind, `{"id":1,"digests":{"trajectory":"38753e134063a2615f5b30bfbd29fec8faae7b5a28072c267507d443e5fad69d","flight_log":"2afe674b9e66e3c84a4943f5c241f7e082927a7260843837379a63cdf160b193","ledger":"3cb07175811cedc12043367ad087fd47c56964fb600628abf099ee06fe3a376f"},"summary":{"flight_time_s":9.026000000000437,"energy_wh":0.2789071164320535,"compute_wh":0.010379900000000709,"compute_flight_cost_min":0.005598576962259952,"completed":false,"final_mode":"DISARMED"}}`},
+		{fleet.WalDoneKind, `{"id":1,"digests":{"trajectory":"38753e134063a2615f5b30bfbd29fec8faae7b5a28072c267507d443e5fad69d","flight_log":"9af5d9a7b1ded782e7ead1b61cd467568f9a24efd208b136e506143d2f3d385d","ledger":"3cb07175811cedc12043367ad087fd47c56964fb600628abf099ee06fe3a376f"},"summary":{"flight_time_s":9.026000000000437,"energy_wh":0.2789071164320535,"compute_wh":0.010379900000000709,"compute_flight_cost_min":0.005598576962259952,"completed":false,"final_mode":"DISARMED"}}`},
 	} {
 		if err := jl.Append(r.kind, []byte(r.payload)); err != nil {
 			t.Fatal(err)
