@@ -8,7 +8,7 @@
 //
 //	benchjson                 # quick suite -> BENCH_core.json
 //	benchjson -o - -seqs 2    # print to stdout, truncated SLAM suite
-//	benchjson -quick -o -     # smoke subset (resolve, scenario/batch/fleet kernels)
+//	benchjson -quick -o -     # smoke subset (resolve, scenario/batch/fleet/workload/microarch kernels)
 package main
 
 import (
@@ -26,6 +26,7 @@ import (
 	"dronedse/dataset"
 	"dronedse/faultx"
 	"dronedse/fleet"
+	"dronedse/microarch"
 	"dronedse/mission"
 	"dronedse/parallelx"
 	"dronedse/roofline"
@@ -72,7 +73,7 @@ type Report struct {
 func main() {
 	out := flag.String("o", "BENCH_core.json", "output file (- for stdout)")
 	seqs := flag.Int("seqs", 2, "SLAM sequences for the suite benchmark (0 = all 11, slow)")
-	quick := flag.Bool("quick", false, "smoke subset only (resolve kernels, scenario_flight, workload kernels)")
+	quick := flag.Bool("quick", false, "smoke subset only (resolve, scenario, batch, fleet, workload and microarch kernels)")
 	procs := flag.Int("procs", runtime.NumCPU(), "runtime.GOMAXPROCS for the whole run")
 	flag.Parse()
 	runtime.GOMAXPROCS(*procs)
@@ -262,6 +263,18 @@ func main() {
 			}
 		})
 	}
+	// Microarch kernel: the §2.2 isolation study — autopilot solo,
+	// co-resident with SLAM, and on a dedicated core beside it — at a
+	// reduced iteration count. Its TLB and cache lookups are the
+	// design-space side's hottest loop.
+	measure("microarch_isolation", []int{1, 2}, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if r := microarch.RunIsolationStudy(1, 5000); r.Solo.Instructions == 0 {
+				b.Fatal("isolation study retired no instructions")
+			}
+		}
+	})
 	if *quick {
 		writeReport(rep, *out)
 		return

@@ -7,49 +7,65 @@
 // and SLAM (large, irregular, data-dependent) are interleaved the way the
 // scheduler interleaves the two processes, and the autopilot's TLB misses,
 // LLC/branch miss rates, and IPC are measured solo vs. co-resident.
+//
+// The two hot structures are flat arrays. A cache keeps its tags and LRU
+// stamps in one slice each, indexed set*ways+way, with a stamp of 0 for an
+// invalid way; the set count is a power of two, so the set index and tag
+// are a mask and a shift. The TLB keeps its resident pages and their stamps
+// in two slices of capacity entries, scanned linearly after a check of the
+// slot last hit. Victim choice is plain LRU in both (the first invalid way,
+// else the oldest stamp; the least recently used page), so every counter
+// matches a map and slice-of-slices implementation access for access
+// (oracle_test.go).
 package microarch
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"dronedse/parallelx"
 )
 
-// Cache is a set-associative cache with LRU replacement.
+// Cache is a set-associative cache with LRU replacement. Tags and recency
+// stamps sit in flat slices indexed set*ways+way; a stamp of 0 marks an
+// invalid way.
 type Cache struct {
-	sets      int
 	ways      int
 	lineShift uint
-	// tags[set][way]; lru[set][way] holds a recency stamp.
-	tags  [][]uint64
-	valid [][]bool
-	lru   [][]uint64
-	stamp uint64
+	setShift  uint   // log2 of the set count
+	setMask   uint64 // set count - 1
+	tags      []uint64
+	lru       []uint64
+	stamp     uint64
 
 	Accesses uint64
 	Misses   uint64
 }
 
-// NewCache builds a cache of the given total size in bytes.
+// NewCache builds a cache of the given total size in bytes. The set count,
+// sizeBytes / (ways * lineBytes), must be a power of two.
 func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 	sets := sizeBytes / (ways * lineBytes)
 	if sets < 1 {
 		sets = 1
 	}
+	if sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("microarch: cache of %d B, %d ways, %d B lines has %d sets, not a power of two",
+			sizeBytes, ways, lineBytes, sets))
+	}
 	shift := uint(0)
 	for 1<<shift < lineBytes {
 		shift++
 	}
-	c := &Cache{sets: sets, ways: ways, lineShift: shift}
-	c.tags = make([][]uint64, sets)
-	c.valid = make([][]bool, sets)
-	c.lru = make([][]uint64, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, ways)
-		c.valid[i] = make([]bool, ways)
-		c.lru[i] = make([]uint64, ways)
+	return &Cache{
+		ways:      ways,
+		lineShift: shift,
+		setShift:  uint(bits.TrailingZeros(uint(sets))),
+		setMask:   uint64(sets - 1),
+		tags:      make([]uint64, sets*ways),
+		lru:       make([]uint64, sets*ways),
 	}
-	return c
 }
 
 // Access looks up addr, filling on miss; returns true on hit.
@@ -57,29 +73,28 @@ func (c *Cache) Access(addr uint64) bool {
 	c.Accesses++
 	c.stamp++
 	line := addr >> c.lineShift
-	set := int(line % uint64(c.sets))
-	tag := line / uint64(c.sets)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
-			c.lru[set][w] = c.stamp
+	tag := line >> c.setShift
+	base := int(line&c.setMask) * c.ways
+	tags := c.tags[base : base+c.ways]
+	lru := c.lru[base : base+c.ways]
+	for w, t := range tags {
+		if t == tag && lru[w] != 0 {
+			lru[w] = c.stamp
 			return true
 		}
 	}
 	c.Misses++
-	// LRU victim.
-	victim, oldest := 0, c.lru[set][0]
-	for w := 0; w < c.ways; w++ {
-		if !c.valid[set][w] {
-			victim = w
-			break
-		}
-		if c.lru[set][w] < oldest {
-			victim, oldest = w, c.lru[set][w]
+	// LRU victim: the first invalid way, else the oldest stamp. Invalid
+	// ways hold stamp 0 and valid stamps are unique and positive, so the
+	// first minimum is exactly that way.
+	victim, oldest := 0, lru[0]
+	for w, s := range lru {
+		if s < oldest {
+			victim, oldest = w, s
 		}
 	}
-	c.tags[set][victim] = tag
-	c.valid[set][victim] = true
-	c.lru[set][victim] = c.stamp
+	tags[victim] = tag
+	lru[victim] = c.stamp
 	return false
 }
 
@@ -91,19 +106,25 @@ func (c *Cache) MissRate() float64 {
 	return float64(c.Misses) / float64(c.Accesses)
 }
 
-// TLB is a fully-associative LRU translation buffer over 4 KiB pages.
+// TLB is a fully-associative LRU translation buffer over 4 KiB pages. The
+// resident pages and their recency stamps are two parallel slices whose
+// capacity is the entry count.
 type TLB struct {
-	entries int
-	pages   map[uint64]uint64 // page -> stamp
-	stamp   uint64
+	pages  []uint64
+	stamps []uint64
+	mru    int // slot of the last page hit or filled
+	stamp  uint64
 
 	Accesses uint64
 	Misses   uint64
 }
 
-// NewTLB builds a TLB with the given entry count.
+// NewTLB builds a TLB with the given entry count, which must be at least 1.
 func NewTLB(entries int) *TLB {
-	return &TLB{entries: entries, pages: make(map[uint64]uint64, entries)}
+	if entries < 1 {
+		panic(fmt.Sprintf("microarch: TLB needs at least 1 entry, got %d", entries))
+	}
+	return &TLB{pages: make([]uint64, 0, entries), stamps: make([]uint64, 0, entries)}
 }
 
 // Access translates addr, returning true on hit.
@@ -111,22 +132,35 @@ func (t *TLB) Access(addr uint64) bool {
 	t.Accesses++
 	t.stamp++
 	page := addr >> 12
-	if _, ok := t.pages[page]; ok {
-		t.pages[page] = t.stamp
+	// Runs of accesses to one page are common; check the last one first.
+	if t.mru < len(t.pages) && t.pages[t.mru] == page {
+		t.stamps[t.mru] = t.stamp
 		return true
 	}
-	t.Misses++
-	if len(t.pages) >= t.entries {
-		var victim uint64
-		oldest := t.stamp + 1
-		for p, s := range t.pages {
-			if s < oldest {
-				victim, oldest = p, s
-			}
+	// One pass finds a hit or, failing that, the LRU victim; stamps are
+	// unique, so the victim is unambiguous.
+	stamps := t.stamps[:len(t.pages)]
+	victim, oldest := 0, t.stamp
+	for i, p := range t.pages {
+		if p == page {
+			stamps[i] = t.stamp
+			t.mru = i
+			return true
 		}
-		delete(t.pages, victim)
+		if s := stamps[i]; s < oldest {
+			victim, oldest = i, s
+		}
 	}
-	t.pages[page] = t.stamp
+	t.Misses++
+	if len(t.pages) < cap(t.pages) {
+		t.mru = len(t.pages)
+		t.pages = append(t.pages, page)
+		t.stamps = append(t.stamps, t.stamp)
+		return false
+	}
+	t.pages[victim] = page
+	t.stamps[victim] = t.stamp
+	t.mru = victim
 	return false
 }
 
@@ -217,22 +251,31 @@ func NewCore() *Core {
 	}
 }
 
-// Load executes one memory instruction at addr.
+// Load executes one memory instruction at addr. With a prefetcher
+// attached, an L1 miss also fills the lines the prefetcher asks for; the
+// fills are off the critical path (no cycle charge beyond issue bandwidth,
+// modeled as free here).
 func (c *Core) Load(addr uint64) {
-	if c.prefetch != nil {
-		c.loadWithPrefetch(addr)
-		return
-	}
 	c.Instructions++
 	c.Cycles += 1 / c.BaseIPC
 	if !c.TLB.Access(addr) {
 		c.Cycles += c.TLBMissPenalty
 	}
-	if !c.L1D.Access(addr) {
-		c.Cycles += c.L1MissPenalty
-		if !c.L2.Access(addr) {
-			c.Cycles += c.L2MissPenalty
-		}
+	if c.L1D.Access(addr) {
+		return
+	}
+	c.Cycles += c.L1MissPenalty
+	if !c.L2.Access(addr) {
+		c.Cycles += c.L2MissPenalty
+	}
+	if c.prefetch == nil {
+		return
+	}
+	line := addr >> 6
+	for i, n := 1, c.prefetch.onMiss(line); i <= n; i++ {
+		pa := (line + uint64(i)) << 6
+		c.L1D.Access(pa)
+		c.L2.Access(pa)
 	}
 }
 
@@ -283,6 +326,18 @@ func (c *Core) counters() counters {
 		brA: c.BP.Branches, brM: c.BP.Misses,
 		tlbA: c.TLB.Accesses, tlbM: c.TLB.Misses,
 	}
+}
+
+// add accumulates the window from a to b into c.
+func (c *counters) add(a, b counters) {
+	c.instr += b.instr - a.instr
+	c.cycles += b.cycles - a.cycles
+	c.llcA += b.llcA - a.llcA
+	c.llcM += b.llcM - a.llcM
+	c.brA += b.brA - a.brA
+	c.brM += b.brM - a.brM
+	c.tlbA += b.tlbA - a.tlbA
+	c.tlbM += b.tlbM - a.tlbM
 }
 
 func diffMetrics(a, b counters) Metrics {
@@ -439,48 +494,24 @@ func RunSolo(w Workload, iters int) Metrics {
 // bars.
 func RunCoResident(primary, secondary Workload, totalIters, quantum, secondaryScale int) Metrics {
 	c := NewCore()
+	return interleave(c, c, primary, secondary, totalIters, quantum, secondaryScale)
+}
+
+// interleave runs primary on core p in bursts of quantum iterations, each
+// followed by quantum*secondaryScale iterations of secondary on core s,
+// until primary has run totalIters iterations. It reports primary's metrics
+// over its own bursts only; s may be p itself.
+func interleave(p, s *Core, primary, secondary Workload, totalIters, quantum, secondaryScale int) Metrics {
 	var acc counters
-	var got Metrics
-	instr := uint64(0)
-	tlbM := uint64(0)
-	var cyc float64
-	var llcA, llcM, brA, brM, tlbA uint64
-	done := 0
-	for done < totalIters {
-		n := quantum
-		if done+n > totalIters {
-			n = totalIters - done
-		}
-		before := c.counters()
-		primary.Burst(c, n)
-		after := c.counters()
-		instr += uint64(after.instr - before.instr)
-		cyc += after.cycles - before.cycles
-		llcA += after.llcA - before.llcA
-		llcM += after.llcM - before.llcM
-		brA += after.brA - before.brA
-		brM += after.brM - before.brM
-		tlbA += after.tlbA - before.tlbA
-		tlbM += after.tlbM - before.tlbM
+	for done := 0; done < totalIters; {
+		n := min(quantum, totalIters-done)
+		before := p.counters()
+		primary.Burst(p, n)
+		acc.add(before, p.counters())
 		done += n
-		secondary.Burst(c, quantum*secondaryScale)
+		secondary.Burst(s, quantum*secondaryScale)
 	}
-	_ = acc
-	got.Instructions = instr
-	if cyc > 0 {
-		got.IPC = float64(instr) / cyc
-	}
-	if llcA > 0 {
-		got.LLCMissRate = float64(llcM) / float64(llcA)
-	}
-	if brA > 0 {
-		got.BranchMissRate = float64(brM) / float64(brA)
-	}
-	got.TLBMisses = tlbM
-	if tlbA > 0 {
-		got.TLBMissRate = float64(tlbM) / float64(tlbA)
-	}
-	return got
+	return diffMetrics(counters{}, acc)
 }
 
 // Figure15 runs the three Figure 15 configurations: autopilot alone, SLAM

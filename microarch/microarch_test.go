@@ -1,7 +1,9 @@
 package microarch
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -165,5 +167,60 @@ func TestRunCoResidentShortTail(t *testing.T) {
 	m := RunCoResident(NewAutopilotWorkload(1), NewSLAMWorkload(2), 105, 40, 2)
 	if m.Instructions == 0 {
 		t.Fatal("no instructions attributed")
+	}
+}
+
+// TestBurstsDoNotAllocate pins the simulator's inner loop at zero heap
+// allocations per burst: solo, co-resident (both workloads on one core) and
+// with the stream prefetcher attached.
+func TestBurstsDoNotAllocate(t *testing.T) {
+	solo := NewCore()
+	ap := NewAutopilotWorkload(1)
+	shared := NewCore()
+	ap2, sl := NewAutopilotWorkload(1), NewSLAMWorkload(2)
+	pf := NewCore()
+	pf.AttachPrefetcher(NewStreamPrefetcher())
+	ap3 := NewAutopilotWorkload(1)
+	for _, tc := range []struct {
+		name  string
+		burst func()
+	}{
+		{"solo", func() { ap.Burst(solo, 1000) }},
+		{"co-resident", func() { ap2.Burst(shared, 40); sl.Burst(shared, 320) }},
+		{"prefetch", func() { ap3.Burst(pf, 1000) }},
+	} {
+		if n := testing.AllocsPerRun(20, tc.burst); n != 0 {
+			t.Errorf("%s burst: %v allocs per run, want 0", tc.name, n)
+		}
+	}
+}
+
+func TestNewCacheRejectsNonPowerOfTwoSets(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("NewCache with 3 sets did not panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "3 sets") {
+			t.Errorf("panic %q does not name the set count", msg)
+		}
+	}()
+	NewCache(3*2*64, 2, 64)
+}
+
+func TestNewTLBRejectsNoEntries(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("NewTLB(%d) did not panic", n)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, fmt.Sprint(n)) {
+					t.Errorf("panic %q does not name the entry count %d", msg, n)
+				}
+			}()
+			NewTLB(n)
+		}()
 	}
 }

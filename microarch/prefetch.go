@@ -24,54 +24,27 @@ type StreamPrefetcher struct {
 // NewStreamPrefetcher returns a degree-2 prefetcher.
 func NewStreamPrefetcher() *StreamPrefetcher { return &StreamPrefetcher{Degree: 2} }
 
-// onMiss reacts to an L1 miss at the given line address, returning the line
-// addresses to prefetch.
-func (p *StreamPrefetcher) onMiss(line uint64) []uint64 {
-	defer func() { p.lastMissLine = line }()
-	if line == p.lastMissLine+1 || line == p.lastMissLine+2 {
+// onMiss reacts to an L1 miss at the given line address and returns how
+// many of the lines right after it to prefetch: Degree once a stream has
+// confirmed, else 0.
+func (p *StreamPrefetcher) onMiss(line uint64) int {
+	last := p.lastMissLine
+	p.lastMissLine = line
+	if line == last+1 || line == last+2 {
 		p.streaming = true
-	} else if line != p.lastMissLine {
+	} else if line != last {
 		p.streaming = false
 	}
 	if !p.streaming {
-		return nil
+		return 0
 	}
-	out := make([]uint64, 0, p.Degree)
-	for i := 1; i <= p.Degree; i++ {
-		out = append(out, line+uint64(i))
-	}
-	p.Issued += uint64(len(out))
-	return out
+	p.Issued += uint64(p.Degree)
+	return p.Degree
 }
 
 // AttachPrefetcher equips a core's L1D with the stream prefetcher; the
 // core's Load path consults it on every L1 miss.
 func (c *Core) AttachPrefetcher(p *StreamPrefetcher) { c.prefetch = p }
-
-// loadWithPrefetch is the Load path with prefetching folded in; used by
-// Core.Load when a prefetcher is attached.
-func (c *Core) loadWithPrefetch(addr uint64) {
-	c.Instructions++
-	c.Cycles += 1 / c.BaseIPC
-	if !c.TLB.Access(addr) {
-		c.Cycles += c.TLBMissPenalty
-	}
-	if c.L1D.Access(addr) {
-		return
-	}
-	c.Cycles += c.L1MissPenalty
-	if !c.L2.Access(addr) {
-		c.Cycles += c.L2MissPenalty
-	}
-	line := addr >> 6
-	for _, pl := range c.prefetch.onMiss(line) {
-		// Prefetches fill the caches off the critical path (no cycle
-		// charge beyond issue bandwidth, modeled as free here).
-		pa := pl << 6
-		c.L1D.Access(pa)
-		c.L2.Access(pa)
-	}
-}
 
 // PrefetchAblation compares a workload's IPC with and without the stream
 // prefetcher.

@@ -23,24 +23,33 @@ func TestPrefetchAsymmetry(t *testing.T) {
 	}
 }
 
+// prefetched returns the line addresses onMiss asks the core to fill.
+func prefetched(p *StreamPrefetcher, line uint64) []uint64 {
+	var out []uint64
+	for i, n := 1, p.onMiss(line); i <= n; i++ {
+		out = append(out, line+uint64(i))
+	}
+	return out
+}
+
 func TestStreamDetection(t *testing.T) {
 	p := NewStreamPrefetcher()
 	// Random lines: no stream, no prefetches.
 	for _, l := range []uint64{10, 500, 7, 9000} {
-		if got := p.onMiss(l); len(got) != 0 {
+		if got := prefetched(p, l); len(got) != 0 {
 			t.Errorf("random miss %d prefetched %v", l, got)
 		}
 	}
 	// Sequential lines confirm a stream.
 	p.onMiss(100)
-	got := p.onMiss(101)
+	got := prefetched(p, 101)
 	if len(got) != 2 || got[0] != 102 || got[1] != 103 {
 		t.Errorf("stream prefetch = %v, want [102 103]", got)
 	}
 	// Stride-2 streams (the autopilot's 128-byte stride) also confirm.
 	p2 := NewStreamPrefetcher()
 	p2.onMiss(200)
-	if got := p2.onMiss(202); len(got) == 0 {
+	if got := prefetched(p2, 202); len(got) == 0 {
 		t.Error("stride-2 stream not detected")
 	}
 }
